@@ -66,6 +66,16 @@ from repro.engine.vector.vexpr import EvalContext
 PLAN_CACHE_SIZE = 256
 
 
+def _plan_key(query: ast.Query) -> tuple:
+    """The structural plan-cache key of ``query``.
+
+    AST equality alone is not enough: Python has ``1 == 1.0 == True``, so
+    ``SELECT 1`` and ``SELECT 1.0`` compare (and hash) equal but must not
+    share a plan.  The literal types, in pre-order, tell them apart.
+    """
+    return (query, tuple(type(literal.value) for literal in ast.literals(query)))
+
+
 class ExecState:
     """Per-execution mutable state: work counters plus the subquery memo
     (kept off the engine so concurrent executions never share mutables)."""
@@ -86,7 +96,7 @@ class VectorEngine:
         self.database = database
         self.store = ColumnStore(database)
         self.metrics = metrics or MetricsRegistry()
-        self._plans: OrderedDict[ast.Query, QueryPlan] = OrderedDict()
+        self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()
         # Identity-keyed front cache: repeated executions of the *same*
         # parsed Query object skip the deep structural hash.  Values hold a
         # strong reference to the query so its id cannot be recycled.
@@ -169,14 +179,16 @@ class VectorEngine:
 
     def _plan_traced(self, query: ast.Query) -> tuple[QueryPlan, bool]:
         key = id(query)
+        structural = None
         with self._lock:
             hit = self._plans_by_id.get(key)
             if hit is not None and hit[0] is query:
                 plan = hit[1]
             else:
-                plan = self._plans.get(query)
+                structural = _plan_key(query)
+                plan = self._plans.get(structural)
                 if plan is not None:
-                    self._plans.move_to_end(query)
+                    self._plans.move_to_end(structural)
                     self._remember_id_locked(key, query, plan)
         if plan is not None:
             self._plan_hits.inc()
@@ -190,7 +202,7 @@ class VectorEngine:
             plan = self._planner.plan_query(query)
         self._plans_built.inc()
         with self._lock:
-            self._plans[query] = plan
+            self._plans[structural] = plan
             while len(self._plans) > PLAN_CACHE_SIZE:
                 self._plans.popitem(last=False)
             self._remember_id_locked(id(query), query, plan)

@@ -13,8 +13,23 @@ per-task seed in ``params["seed"]``.
 Graph shape (``build_suite_graph``)::
 
     corpus ──────────────┬─> synth-spider:<db> (×11) ─> synth-spider
-                         ├─> train:<sys>:spider:<regime> ─> eval:…
-    domain:<name> (×3) ──┴─> train:<sys>:<domain>:<regime> ─> eval:…
+                         ├─> train:<sys>:spider:<root> ─> eval:…
+    domain:<name> (×3) ──┴─> train:<sys>:<domain>:zero ─> eval:…
+
+Training chains the regimes that share a prefix of training pairs (see
+:func:`regime_base`); every arrow below is a ``base`` dependency, and each
+chained task also depends on the split it adds (``domain:<name>`` or
+``synth-spider``)::
+
+    train:<sys>:<domain>:zero ─┬─> …:seed ─> …:both
+                               └─> …:synth
+    train:<sys>:spider:zero ───> …:plus-synth      (synth-only is a root)
+
+A chained task forks its base's trained system
+(:meth:`~repro.nl2sql.base.NLToSQLSystem.fork`) and observes only the new
+pairs.  The base artifact is shared with its eval task and its other
+children, so the fork never mutates it: lexicons are copy-on-write, the
+template store and system statistics are copied.
 """
 
 from __future__ import annotations
@@ -145,6 +160,19 @@ def eval_grid(
     return names
 
 
+def regime_base(target: str, regime: str) -> str | None:
+    """The regime a Table-5 regime continues training from (``None``: a root).
+
+    Domain rows chain ``zero`` → ``seed`` → ``both`` and ``zero`` →
+    ``synth``; the Spider control rows chain ``zero`` → ``plus-synth``.
+    Each chained regime adds one split to its base's training pairs, in the
+    order a from-scratch run would observe them.
+    """
+    if target == "spider":
+        return "zero" if regime == "plus-synth" else None
+    return {"seed": "zero", "synth": "zero", "both": "seed"}.get(regime)
+
+
 # -- task bodies ---------------------------------------------------------------
 
 
@@ -230,30 +258,39 @@ def merge_synth_spider(params: dict, inputs: dict) -> Split:
 
 
 def train_system_task(params: dict, inputs: dict):
-    """Train one system under one Table-5 regime (see ``Suite.train_regime``)."""
-    system = SYSTEM_CLASSES[params["system"]]()
-    corpus: SpiderCorpus = inputs["corpus"]
-    for db_id, database in corpus.databases.items():
-        system.register_database(db_id, database, corpus.enhanced[db_id])
+    """Train one system under one Table-5 regime (see ``Suite.train_regime``).
+
+    A root regime registers every database on a fresh system and trains on
+    its pairs.  A chained regime (``inputs["base"]``, see
+    :func:`regime_base`) forks the trained system of its base regime and
+    observes only the pairs the base did not — the same learned state as
+    training the concatenation from scratch, at the cost of the new pairs.
+    """
     domain_name = params["domain"]
     regime = params["regime"]
-    if domain_name is not None:
-        for name in params["domains"]:
-            domain = inputs[domain_task(name)]
-            system.register_database(name, domain.database, domain.enhanced)
-    pairs = list(corpus.train.pairs)
-    if domain_name is None:
-        if regime == "plus-synth":
-            pairs = pairs + list(inputs[SYNTH_SPIDER_TASK].pairs)
-        elif regime == "synth-only":
-            pairs = list(inputs[SYNTH_SPIDER_TASK].pairs)
+    if "base" in inputs:
+        system = inputs["base"].fork()
     else:
-        domain = inputs[domain_task(domain_name)]
-        if regime in ("seed", "both"):
-            pairs += list(domain.seed.pairs)
-        if regime in ("synth", "both"):
-            pairs += list(domain.synth.pairs)
-    system.train(pairs)
+        system = SYSTEM_CLASSES[params["system"]]()
+        corpus: SpiderCorpus = inputs["corpus"]
+        for db_id, database in corpus.databases.items():
+            system.register_database(db_id, database, corpus.enhanced[db_id])
+        if domain_name is not None:
+            for name in params["domains"]:
+                domain = inputs[domain_task(name)]
+                system.register_database(name, domain.database, domain.enhanced)
+    if regime == "zero":
+        pairs = inputs["corpus"].train.pairs
+    elif domain_name is None:
+        pairs = inputs[SYNTH_SPIDER_TASK].pairs
+    elif regime == "seed":
+        pairs = inputs[domain_task(domain_name)].seed.pairs
+    else:
+        pairs = inputs[domain_task(domain_name)].synth.pairs
+    # An empty split adds nothing to a chained regime (its base already
+    # trained); a root regime without pairs is an error, as before.
+    if pairs or "base" not in inputs:
+        system.train(list(pairs))
     return system
 
 
@@ -405,6 +442,14 @@ def build_suite_graph(
         for name in domains:
             for regime in DOMAIN_REGIMES:
                 tname = train_task(system, name, regime)
+                base_regime = regime_base(name, regime)
+                if base_regime is None:
+                    deps = (("corpus", CORPUS_TASK),) + domain_deps
+                else:
+                    deps = (
+                        ("base", train_task(system, name, base_regime)),
+                        (domain_task(name), domain_task(name)),
+                    )
                 graph.add(
                     Task(
                         tname,
@@ -415,7 +460,7 @@ def build_suite_graph(
                             "domains": list(domains),
                             "regime": regime,
                         },
-                        deps=(("corpus", CORPUS_TASK),) + domain_deps,
+                        deps=deps,
                     )
                 )
                 graph.add(
@@ -433,7 +478,11 @@ def build_suite_graph(
                     )
                 )
         for regime in SPIDER_REGIMES:
-            deps: tuple[tuple[str, str], ...] = (("corpus", CORPUS_TASK),)
+            base_regime = regime_base("spider", regime)
+            if base_regime is not None:
+                deps = (("base", train_task(system, "spider", base_regime)),)
+            else:
+                deps = (("corpus", CORPUS_TASK),)
             if regime != "zero":
                 deps += ((SYNTH_SPIDER_TASK, SYNTH_SPIDER_TASK),)
             tname = train_task(system, "spider", regime)

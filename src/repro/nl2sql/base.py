@@ -19,6 +19,7 @@ Training populates two stores per system:
 from __future__ import annotations
 
 import abc
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from repro.engine.database import Database
 from repro.errors import TrainingError
 from repro.nl2sql.lexicon import LearnedLexicon
 from repro.nl2sql.linking import Links, SchemaLinker
+from repro.nl2sql.observation import LiftedSQL, lift_sql
 from repro.nl2sql.templates_store import TemplateStore
 from repro.schema.enhanced import EnhancedSchema
 
@@ -52,6 +54,9 @@ class NLToSQLSystem(abc.ABC):
         self._contexts: dict[str, DomainContext] = {}
         self._linkers: dict[str, SchemaLinker] = {}
         self._lexicons: dict[str, LearnedLexicon] = {}
+        #: Databases whose lexicon this system may mutate; the rest are
+        #: borrowed from the system it was forked from (see :meth:`fork`).
+        self._owned_lexicons: set[str] = set()
         self.templates = TemplateStore()
         self._trained = False
         self._link_cache: OrderedDict[tuple[str, str], Links] = OrderedDict()
@@ -65,7 +70,9 @@ class NLToSQLSystem(abc.ABC):
         context = DomainContext(db_id=db_id, database=database, enhanced=enhanced)
         self._contexts[db_id] = context
         self._linkers[db_id] = SchemaLinker(database, enhanced)
-        self._lexicons.setdefault(db_id, LearnedLexicon(db_id=db_id))
+        if db_id not in self._lexicons:
+            self._lexicons[db_id] = LearnedLexicon(db_id=db_id)
+            self._owned_lexicons.add(db_id)
         self._link_cache.clear()
 
     def context(self, db_id: str) -> DomainContext:
@@ -77,21 +84,62 @@ class NLToSQLSystem(abc.ABC):
     # -- training -------------------------------------------------------------------
 
     def train(self, pairs: list[NLSQLPair]) -> None:
-        """Train on NL/SQL pairs (all referenced databases must be registered)."""
+        """Train on NL/SQL pairs (all referenced databases must be registered).
+
+        Training is incremental: a second call continues from the state the
+        first left, exactly as if both pair lists had been one.  Each pair's
+        SQL is lifted to SemQL once and every store learns from that.
+        """
         if not pairs:
             raise TrainingError("no training pairs supplied")
         for pair in pairs:
             context = self.context(pair.db_id)
-            lexicon = self._lexicons[pair.db_id]
-            lexicon.observe(pair.question, pair.sql, context.database.schema)
-            self.templates.observe(pair.question, pair.sql, context.database.schema)
-            self._observe(pair, context)
+            lifted = lift_sql(pair.sql, context.database.schema)
+            self._own_lexicon(pair.db_id).observe(pair.question, lifted)
+            self.templates.observe(pair.question, lifted)
+            self._observe(pair, context, lifted)
         self._trained = True
         # Training updates the lexicons, which feed linking.
         self._link_cache.clear()
 
-    def _observe(self, pair: NLSQLPair, context: DomainContext) -> None:
+    def _observe(self, pair: NLSQLPair, context: DomainContext, lifted: LiftedSQL) -> None:
         """Hook for system-specific training statistics."""
+
+    # -- forking --------------------------------------------------------------------
+
+    def fork(self) -> "NLToSQLSystem":
+        """A system that continues training from this one's learned state.
+
+        ``parent.fork().train(more)`` learns exactly what a fresh system
+        learns from ``prefix + more`` when the parent was trained on
+        ``prefix``.  The fork shares the registered contexts, linkers and
+        databases, copies the template store and system statistics (see
+        :meth:`_fork_state`) and starts with an empty link memo.  Lexicons
+        are copy-on-write: the fork borrows the parent's and copies one only
+        when a training pair first touches its database.  Training the fork
+        never changes the parent; the parent itself must not be trained
+        again once forked, since its lexicons are then shared.
+        """
+        child = copy.copy(self)
+        child._contexts = dict(self._contexts)
+        child._linkers = dict(self._linkers)
+        child._lexicons = dict(self._lexicons)
+        child._owned_lexicons = set()
+        child.templates = self.templates.copy()
+        child._link_cache = OrderedDict()
+        self._fork_state(child)
+        return child
+
+    def _fork_state(self, child: "NLToSQLSystem") -> None:
+        """Hook: give ``child`` its own copy of system-specific learned state."""
+
+    def _own_lexicon(self, db_id: str) -> LearnedLexicon:
+        """The lexicon of ``db_id``, copied first if it is borrowed from a parent."""
+        lexicon = self._lexicons[db_id]
+        if db_id not in self._owned_lexicons:
+            lexicon = self._lexicons[db_id] = lexicon.copy()
+            self._owned_lexicons.add(db_id)
+        return lexicon
 
     # -- prediction -------------------------------------------------------------------
 

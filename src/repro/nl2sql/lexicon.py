@@ -20,10 +20,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
+from repro.nl2sql.observation import LiftedSQL
 from repro.semql import nodes as sq
-from repro.semql.from_sql import sql_to_semql
-from repro.sql import parse
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:\.[0-9]+)?")
 _STOP = frozenset(
@@ -57,18 +55,28 @@ class LearnedLexicon:
     ngram_freq: Counter = field(default_factory=Counter)
     n_pairs: int = 0
 
+    def copy(self) -> "LearnedLexicon":
+        """An independent copy (same entry order, so ties break the same)."""
+        return LearnedLexicon(
+            db_id=self.db_id,
+            column_assoc={k: v.copy() for k, v in self.column_assoc.items()},
+            table_assoc={k: v.copy() for k, v in self.table_assoc.items()},
+            value_assoc={k: v.copy() for k, v in self.value_assoc.items()},
+            ngram_freq=self.ngram_freq.copy(),
+            n_pairs=self.n_pairs,
+        )
+
     # -- training ----------------------------------------------------------------
 
-    def observe(self, question: str, sql: str, schema) -> bool:
+    def observe(self, question: str, lifted: LiftedSQL) -> bool:
         """Learn from one NL/SQL pair; returns False if the SQL is outside
         the SemQL subset (such pairs still count toward n-gram frequency)."""
         ngrams = set(content_ngrams(question))
         for ngram in ngrams:
             self.ngram_freq[ngram] += 1
         self.n_pairs += 1
-        try:
-            z = sql_to_semql(parse(sql), schema)
-        except ReproError:
+        z = lifted.tree
+        if z is None:
             return False
 
         columns: set[tuple[str, str]] = set()

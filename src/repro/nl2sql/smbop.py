@@ -41,14 +41,9 @@ class SmBoP(NLToSQLSystem):
         #: seed/synth data improves SmBoP in Table 5.
         self._projection_counts: dict[tuple[str, str, str], int] = {}
 
-    def _observe(self, pair, context) -> None:
-        from repro.errors import ReproError
-        from repro.semql.from_sql import sql_to_semql
-        from repro.sql import parse
-
-        try:
-            z = sql_to_semql(parse(pair.sql), context.database.schema)
-        except ReproError:
+    def _observe(self, pair, context, lifted) -> None:
+        z = lifted.tree
+        if z is None:
             return
         for r in (z.left, z.right):
             if r is None:
@@ -64,6 +59,9 @@ class SmBoP(NLToSQLSystem):
                         column.name.lower(),
                     )
                     self._projection_counts[key] = self._projection_counts.get(key, 0) + 1
+
+    def _fork_state(self, child: "SmBoP") -> None:
+        child._projection_counts = dict(self._projection_counts)
 
     def _projection_prior(self, db_id: str, table: str) -> list[str]:
         """Columns of ``table`` by learned projection frequency (desc)."""

@@ -28,11 +28,10 @@ from repro.errors import ReproError
 from repro.nl2sql.base import DomainContext, NLToSQLSystem
 from repro.nl2sql.features import question_structure
 from repro.nl2sql.instantiate import GuidedInstantiator
+from repro.nl2sql.observation import LiftedSQL
 from repro.nl2sql.structure import TemplateStructure, compatibility, template_structure
-from repro.semql.templates import Template, extract_template
-from repro.semql.from_sql import sql_to_semql
+from repro.semql.templates import Template
 from repro.semql.to_sql import semql_to_sql
-from repro.sql import parse
 
 _LITERAL_RE = re.compile(r"'[^']*'|(?<![\w.])\d+(?:\.\d+)?(?![\w.])")
 
@@ -50,17 +49,19 @@ class T5Seq2Seq(NLToSQLSystem):
             tuple[np.ndarray, NLSQLPair, Template | None, TemplateStructure | None]
         ] = []
 
-    def _observe(self, pair: NLSQLPair, context: DomainContext) -> None:
+    def _observe(self, pair: NLSQLPair, context: DomainContext, lifted: LiftedSQL) -> None:
         embedding = self.embedder.embed(pair.question)
-        template: Template | None = None
+        template = lifted.template
         structure: TemplateStructure | None = None
-        try:
-            z = sql_to_semql(parse(pair.sql), context.database.schema)
-            template = extract_template(z, source_sql=pair.sql)
-            structure = template_structure(template)
-        except ReproError:
-            template = None
+        if template is not None:
+            try:
+                structure = template_structure(template)
+            except ReproError:
+                template = None
         self._memory.append((embedding, pair, template, structure))
+
+    def _fork_state(self, child: "T5Seq2Seq") -> None:
+        child._memory = list(self._memory)
 
     def _predict(self, question: str, context: DomainContext) -> str | None:
         if not self._memory:

@@ -12,17 +12,14 @@ saw such pairs during training*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.nl2sql.features import feature_similarity, question_features, question_structure
+from repro.nl2sql.observation import LiftedSQL
 from repro.nl2sql.structure import TemplateStructure, compatibility, template_structure
-from repro.schema.model import Schema
-from repro.semql.from_sql import sql_to_semql
-from repro.semql.templates import Template, extract_template
-from repro.sql import parse
+from repro.semql.templates import Template
 
 
 @dataclass
@@ -45,12 +42,15 @@ class TemplateStore:
 
     entries: dict[str, TemplateEntry] = field(default_factory=dict)
 
-    def observe(self, question: str, sql: str, schema: Schema) -> bool:
+    def copy(self) -> "TemplateStore":
+        """An independent copy: entries are copied, their (never mutated in
+        place) templates and centroids shared."""
+        return TemplateStore({sig: replace(e) for sig, e in self.entries.items()})
+
+    def observe(self, question: str, lifted: LiftedSQL) -> bool:
         """Learn the template of one training pair; False if out of grammar."""
-        try:
-            z = sql_to_semql(parse(sql), schema)
-            template = extract_template(z, source_sql=sql)
-        except ReproError:
+        template = lifted.template
+        if template is None:
             return False
         features = question_features(question)
         entry = self.entries.get(template.signature)

@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 #: Bump to invalidate every content hash (and therefore every cache entry)
 #: when the artifact format or task semantics change incompatibly.
 #: 2: trained-system artifacts carry the schema-linking memo (serving).
-GRAPH_FORMAT = 2
+#: 3: trained-system artifacts carry copy-on-write lexicon ownership, and
+#:    chained Table-5 regimes fork their base regime's system.
+GRAPH_FORMAT = 3
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:

@@ -43,12 +43,25 @@ FILTER_OPS = (
 MATH_OPS = ("+", "-", "*", "/")
 
 
+#: Field names of each node class in declaration order, computed on first
+#: use: ``dataclasses.fields`` is too slow to call at every traversal step.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(node: "SemNode") -> tuple[str, ...]:
+    cls = type(node)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))  # type: ignore[arg-type]
+    return names
+
+
 class SemNode:
     """Base class with generic traversal, mirroring the SQL AST."""
 
     def children(self) -> Iterator["SemNode"]:
-        for f in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, f.name)
+        for name in _field_names(self):
+            value = getattr(self, name)
             if isinstance(value, SemNode):
                 yield value
             elif isinstance(value, tuple):
@@ -265,14 +278,14 @@ def attributes_of(node: SemNode) -> list[A]:
 def map_tree(node: SemNode, fn) -> SemNode:
     """Rebuild a SemQL tree bottom-up, applying ``fn`` to every node."""
     kwargs = {}
-    for f in fields(node):  # type: ignore[arg-type]
-        value = getattr(node, f.name)
+    for name in _field_names(node):
+        value = getattr(node, name)
         if isinstance(value, SemNode):
-            kwargs[f.name] = map_tree(value, fn)
+            kwargs[name] = map_tree(value, fn)
         elif isinstance(value, tuple):
-            kwargs[f.name] = tuple(
+            kwargs[name] = tuple(
                 map_tree(v, fn) if isinstance(v, SemNode) else v for v in value
             )
         else:
-            kwargs[f.name] = value
+            kwargs[name] = value
     return fn(type(node)(**kwargs))

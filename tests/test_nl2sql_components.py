@@ -13,6 +13,7 @@ from repro.nl2sql.features import (
 )
 from repro.nl2sql.lexicon import LearnedLexicon, content_ngrams
 from repro.nl2sql.linking import SchemaLinker
+from repro.nl2sql.observation import lift_sql
 from repro.nl2sql.structure import compatibility, template_structure
 from repro.semql import extract_template, sql_to_semql
 from repro.sql import parse
@@ -94,13 +95,11 @@ def trained_lexicon(mini_schema):
     for _ in range(4):  # repetition builds association confidence
         lexicon.observe(
             "Find the quasars with high redshift.",
-            "SELECT specobjid FROM specobj WHERE class = 'QSO'",
-            mini_schema,
+            lift_sql("SELECT specobjid FROM specobj WHERE class = 'QSO'", mini_schema),
         )
         lexicon.observe(
             "Show the redshift of galaxies.",
-            "SELECT z FROM specobj WHERE class = 'GALAXY'",
-            mini_schema,
+            lift_sql("SELECT z FROM specobj WHERE class = 'GALAXY'", mini_schema),
         )
     return lexicon
 
@@ -115,8 +114,7 @@ def test_value_association_skips_numbers(mini_schema):
     for _ in range(4):
         lexicon.observe(
             "projects with credits equal to 6",
-            "SELECT z FROM specobj WHERE z = 6",
-            mini_schema,
+            lift_sql("SELECT z FROM specobj WHERE z = 6", mini_schema),
         )
     assert not lexicon.value_scores("projects with credits")
 
@@ -128,7 +126,7 @@ def test_column_association_learned(trained_lexicon):
 
 def test_out_of_grammar_sql_still_counts_frequency(mini_schema):
     lexicon = LearnedLexicon(db_id="d")
-    ok = lexicon.observe("weird question", "SELECT a FROM nope WHERE", mini_schema)
+    ok = lexicon.observe("weird question", lift_sql("SELECT a FROM nope WHERE", mini_schema))
     assert not ok
     assert lexicon.n_pairs == 1
 

@@ -163,6 +163,31 @@ def test_warm_rerun_is_identical_and_cached(mini_db):
     assert _counter(engine, "plan_cache_hits") >= 1
 
 
+@pytest.mark.parametrize(
+    "order",
+    [
+        ("SELECT 1 FROM singer", "SELECT 1.0 FROM singer"),
+        ("SELECT 1.0 FROM singer", "SELECT 1 FROM singer"),
+    ],
+)
+def test_plan_cache_keeps_int_and_float_literals_apart(order):
+    # 1 == 1.0 in Python, so a cache keyed on AST equality alone served the
+    # first literal's plan to the second query.
+    import random
+
+    from repro.spider.domains import DOMAIN_BUILDERS
+
+    database = DOMAIN_BUILDERS["concert_singer"](random.Random(2))
+    engine = VectorEngine(database)
+    for sql in order:
+        row = Executor(database).execute(parse(sql))
+        vec = engine.execute(parse(sql))
+        assert vec.rows == row.rows, sql
+        assert [type(r[0]) for r in vec.rows] == [type(r[0]) for r in row.rows], sql
+        assert list(vec.columns) == list(row.columns), sql
+    assert _counter(engine, "plans_built") == 2
+
+
 def test_insert_invalidates_columnar_caches(mini_schema):
     database = create_database(
         mini_schema,
