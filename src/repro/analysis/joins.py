@@ -85,7 +85,7 @@ def _check_core(core: SelectContext, schema: Schema) -> list[Diagnostic]:
             edges.extend(_binding_equalities(conjunct, scope))
         for edge in edges:
             parent[find(edge.left_binding.lower())] = find(edge.right_binding.lower())
-        roots = {find(name) for name in bindings}
+        roots = dict.fromkeys(find(name) for name in bindings)
         if len(roots) > 1:
             detached = sorted(scope.bindings[root].name for root in roots)[1:]
             diagnostics.append(

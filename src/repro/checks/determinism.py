@@ -16,7 +16,9 @@ those into a gate.
 ``det.env-read``         ``os.environ``/``os.getenv`` outside the CLI
 ``det.set-iteration``    iterating a ``set`` into an order-sensitive sink
                          (``for``, ``list()``, ``tuple()``, ``join``) —
-                         ``sorted(...)`` it first
+                         ``sorted(...)`` it first; covers a set expression
+                         in the sink and a function-local name bound only
+                         to set expressions
 """
 
 from __future__ import annotations
@@ -151,6 +153,52 @@ def _is_set_expr(node: ast.expr) -> bool:
     )
 
 
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _scope_nodes(func: ast.AST):
+    """Every node of ``func``'s own body, not descending into nested
+    functions, lambdas or classes (each is checked as its own scope)."""
+    pending = list(ast.iter_child_nodes(func))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, _NESTED_SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _set_bindings(func: ast.AST) -> tuple[set[str], set[str]]:
+    """``(set_bound, other_bound)`` names of ``func``'s own scope.
+
+    A name is set-bound by ``x = set(...)``, ``x: set[T] = set()``, a set
+    literal or a set comprehension; ``x |= ...`` keeps it a set.  Any other
+    binding — a parameter, a loop target, ``x = sorted(x)`` — is other."""
+    set_bound: set[str] = set()
+    other = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+    set_targets: set[int] = set()  # ids of the Name targets bound to sets
+    for node in _scope_nodes(func):
+        target = None
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target = node.target
+        elif isinstance(node, ast.AugAssign):
+            target = node.target
+        if isinstance(target, ast.Name) and (
+            isinstance(node, ast.AugAssign) or _is_set_expr(node.value)
+        ):
+            set_targets.add(id(target))
+            if not isinstance(node, ast.AugAssign):
+                set_bound.add(target.id)
+        elif (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and id(node) not in set_targets
+        ):
+            other.add(node.id)
+    return set_bound, other
+
+
 class SetIterationRule(Rule):
     id = "det.set-iteration"
     severity = Severity.ERROR
@@ -162,16 +210,41 @@ class SetIterationRule(Rule):
     _SINK_CALLS = {"list", "tuple", "enumerate", "iter", "next"}
 
     def visit(self, node: ast.AST, ctx: FileContext):
-        if isinstance(node, (ast.For, ast.AsyncFor)) and _is_set_expr(node.iter):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from self._local_sinks(node, ctx)
+        yield from self._sinks(node, ctx, _is_set_expr, "a set")
+
+    def _local_sinks(self, func: ast.AST, ctx: FileContext):
+        set_bound, other = _set_bindings(func)
+        yield from self._scan(func, frozenset(set_bound - other), ctx)
+
+    def _scan(self, scope: ast.AST, names: frozenset[str], ctx: FileContext):
+        """Sinks fed by ``names`` in ``scope`` and the closures nested in it
+        (minus the names a closure rebinds)."""
+        if not names:
+            return
+
+        def is_set_local(expr: ast.expr) -> bool:
+            return isinstance(expr, ast.Name) and expr.id in names
+
+        for node in _scope_nodes(scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                set_bound, other = _set_bindings(node)
+                yield from self._scan(node, names - set_bound - other, ctx)
+            else:
+                yield from self._sinks(node, ctx, is_set_local, "a set-valued local")
+
+    def _sinks(self, node: ast.AST, ctx: FileContext, is_set, what: str):
+        if isinstance(node, (ast.For, ast.AsyncFor)) and is_set(node.iter):
             yield self.finding(
                 ctx, node.iter,
-                "iterating a set directly; order is hash-seed dependent — "
+                f"iterating {what} directly; order is hash-seed dependent — "
                 "use sorted(...)",
             )
-        elif isinstance(node, ast.comprehension) and _is_set_expr(node.iter):
+        elif isinstance(node, ast.comprehension) and is_set(node.iter):
             yield self.finding(
                 ctx, node.iter,
-                "comprehension over a set; order is hash-seed dependent — "
+                f"comprehension over {what}; order is hash-seed dependent — "
                 "use sorted(...)",
             )
         elif isinstance(node, ast.Call):
@@ -180,22 +253,22 @@ class SetIterationRule(Rule):
                 isinstance(func, ast.Name)
                 and func.id in self._SINK_CALLS
                 and node.args
-                and _is_set_expr(node.args[0])
+                and is_set(node.args[0])
             ):
                 yield self.finding(
                     ctx, node,
-                    f"{func.id}() over a set preserves hash-seed-dependent "
+                    f"{func.id}() over {what} preserves hash-seed-dependent "
                     "order; use sorted(...)",
                 )
             elif (
                 isinstance(func, ast.Attribute)
                 and func.attr == "join"
                 and node.args
-                and _is_set_expr(node.args[0])
+                and is_set(node.args[0])
             ):
                 yield self.finding(
                     ctx, node,
-                    "join() over a set concatenates in hash-seed-dependent "
+                    f"join() over {what} concatenates in hash-seed-dependent "
                     "order; use sorted(...)",
                 )
 

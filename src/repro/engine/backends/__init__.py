@@ -18,7 +18,7 @@ from importlib import import_module
 
 from repro.engine.database import Database
 from repro.engine.executor import Result
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 
 
 class ExecutionBackend(abc.ABC):
@@ -36,10 +36,11 @@ class ExecutionBackend(abc.ABC):
         """Execute ``sql``, returning an engine-shaped :class:`Result`."""
 
     def try_execute(self, sql: str) -> Result | None:
-        """Execute, returning None on any backend-reported query error."""
+        """Execute, returning None on any query error (including SQL the
+        in-repo parser rejects), like :meth:`Database.try_execute`."""
         try:
             return self.execute(sql)
-        except ExecutionError:
+        except (ReproError, RecursionError):
             return None
 
     def close(self) -> None:

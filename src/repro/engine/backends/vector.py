@@ -1,9 +1,8 @@
-"""The vectorized columnar engine wrapped as an :class:`ExecutionBackend`.
+"""The vector engine wrapped as an :class:`ExecutionBackend`.
 
-Unlike the native adapter this does not touch the database's own executor:
-it owns a private :class:`~repro.engine.vector.VectorEngine` over the same
-tables, so differential execution can run the row and vector engines
-side by side against one database.
+:meth:`Database.execute` runs on the vector engine, so this adapter
+delegates to the database; differential execution compares it with the
+row engine (:class:`~repro.engine.backends.native.NativeBackend`).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from repro.engine.backends import ExecutionBackend
 from repro.engine.database import Database
 from repro.engine.executor import Result
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError
 
 
 class VectorBackend(ExecutionBackend):
@@ -21,25 +20,11 @@ class VectorBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         self._database: Database | None = None
-        self._engine = None
 
     def load(self, database: Database) -> None:
-        from repro.engine.vector import VectorEngine
-
         self._database = database
-        self._engine = VectorEngine(database)
 
     def execute(self, sql: str) -> Result:
-        if self._engine is None:
+        if self._database is None:
             raise ExecutionError("vector backend has no database loaded")
-        from repro.sql import parse
-
-        return self._engine.execute(parse(sql))
-
-    def try_execute(self, sql: str) -> Result | None:
-        try:
-            return self.execute(sql)
-        except ReproError:
-            return None
-        except RecursionError:
-            return None
+        return self._database.execute(sql)

@@ -1,4 +1,4 @@
-"""The :class:`Database`: a schema plus populated tables plus an executor.
+"""The :class:`Database`: a schema plus populated tables plus its engine.
 
 This is the central runtime object of the reproduction: the augmentation
 pipeline samples values from it, the NL-to-SQL systems index its contents for
@@ -12,7 +12,7 @@ from collections.abc import Iterable
 
 from repro.errors import ExecutionError, SchemaError
 from repro.schema.model import Schema
-from repro.engine.executor import Executor, Result
+from repro.engine.executor import Result
 from repro.engine.table import Table
 
 
@@ -25,32 +25,21 @@ class Database:
         self._tables: dict[str, Table] = {
             t.name.lower(): Table(t) for t in schema.tables
         }
-        self._executor = Executor(self)
-        self._engine_name = "native"
+        self._engine = _new_engine(self)
 
-    # -- engine selection --------------------------------------------------------
+    # -- pickling ------------------------------------------------------------------
 
-    @property
-    def engine_name(self) -> str:
-        """The active execution engine: ``native`` (row) or ``vector``."""
-        return self._engine_name
+    def __getstate__(self) -> dict:
+        # The engine is derived state (column stores, plans, join indexes):
+        # it never travels, so a pickled or deep-copied database carries
+        # only schema and rows, and its bytes do not depend on history.
+        state = self.__dict__.copy()
+        del state["_engine"]
+        return state
 
-    def set_engine(self, name: str) -> None:
-        """Swap the execution engine.  Results are byte-identical between
-        engines (the vector engine's contract); only performance differs."""
-        if name == self._engine_name:
-            return
-        if name == "native":
-            self._executor = Executor(self)
-        elif name == "vector":
-            from repro.engine.vector import VectorEngine
-
-            self._executor = VectorEngine(self)
-        else:
-            raise ExecutionError(
-                f"unknown engine {name!r}; expected 'native' or 'vector'"
-            )
-        self._engine_name = name
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._engine = _new_engine(self)
 
     # -- table access -----------------------------------------------------------
 
@@ -78,7 +67,9 @@ class Database:
     # -- querying ----------------------------------------------------------------
 
     def execute(self, sql) -> Result:
-        """Execute a SQL string or a pre-parsed :class:`~repro.sql.ast.Query`."""
+        """Execute a SQL string or a pre-parsed :class:`~repro.sql.ast.Query`
+        on the vector engine (the row executor is its fallback and
+        semantic authority)."""
         from repro.sql import ast, parse
 
         if isinstance(sql, str):
@@ -87,7 +78,7 @@ class Database:
             query = sql
         else:
             raise ExecutionError(f"cannot execute {type(sql).__name__}")
-        return self._executor.execute(query)
+        return self._engine.execute(query)
 
     def try_execute(self, sql) -> Result | None:
         """Execute, returning None instead of raising on any library error.
@@ -120,6 +111,14 @@ class Database:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.name!r}, {len(self._tables)} tables, {self.row_count()} rows)"
+
+
+def _new_engine(database: Database):
+    # Imported late: the vector planner reaches ``repro.analysis``, whose
+    # package imports this module.
+    from repro.engine.vector import VectorEngine
+
+    return VectorEngine(database)
 
 
 def create_database(schema: Schema, data: dict[str, list[tuple]] | None = None) -> Database:

@@ -248,6 +248,7 @@ class Compiler:
             v = value(row, aggs)
             if v is None:
                 return None
+            # checks: ignore[det.set-iteration] -- any() is order-free here: _compare never raises
             member = any(_eq(v, m) for m in members)
             return (not member) if negated else member
 

@@ -8,7 +8,10 @@ surface, same results byte for byte).  Differences that buy the speed:
   into the engine's :class:`~repro.engine.vector.columns.ColumnStore`.
 * **Plan caching** — parsing aside, the per-query planning work (conjunct
   classification, join ordering, expression compilation) happens once per
-  distinct query; repeated executions replay the compiled plan.
+  distinct repeated query; repeated executions replay the compiled plan.
+  A plan is admitted to the cache only on its query's second sighting, so
+  one-shot queries (candidate checks, generated SQL) never pin a plan and
+  its cached scan selections.
 * **Selection-vector filters and hash joins** — predicates evaluate
   column-at-a-time and only the referenced columns are ever gathered.
 
@@ -65,6 +68,10 @@ from repro.engine.vector.vexpr import EvalContext
 #: Compiled plans kept per engine (LRU by query AST).
 PLAN_CACHE_SIZE = 256
 
+#: Plan-key hashes the admission doorkeeper remembers (FIFO): a plan is
+#: cached only when its key was seen among the last this-many misses.
+DOORKEEPER_SIZE = 4 * PLAN_CACHE_SIZE
+
 
 def _plan_key(query: ast.Query) -> tuple:
     """The structural plan-cache key of ``query``.
@@ -103,6 +110,7 @@ class VectorEngine:
         self._plans_by_id: OrderedDict[int, tuple[ast.Query, QueryPlan]] = (
             OrderedDict()
         )
+        self._seen: OrderedDict[int, None] = OrderedDict()
         self._lock = new_lock("engine.vector")
         self._local = threading.local()
         self._planner = Planner(self.store, self._nested, database)
@@ -202,11 +210,24 @@ class VectorEngine:
             plan = self._planner.plan_query(query)
         self._plans_built.inc()
         with self._lock:
-            self._plans[structural] = plan
-            while len(self._plans) > PLAN_CACHE_SIZE:
-                self._plans.popitem(last=False)
-            self._remember_id_locked(id(query), query, plan)
+            if self._admit_locked(hash(structural)):
+                self._plans[structural] = plan
+                while len(self._plans) > PLAN_CACHE_SIZE:
+                    self._plans.popitem(last=False)
+                self._remember_id_locked(key, query, plan)
         return plan, False
+
+    def _admit_locked(self, digest: int) -> bool:
+        """Second-sighting admission: True when ``digest`` is among the
+        recently missed keys; otherwise remember it and keep the plan out.
+        A hash collision only admits early — it changes speed, never a
+        result."""
+        if digest in self._seen:
+            return True
+        self._seen[digest] = None
+        if len(self._seen) > DOORKEEPER_SIZE:
+            self._seen.popitem(last=False)
+        return False
 
     def _remember_id_locked(
         self, key: int, query: ast.Query, plan: QueryPlan

@@ -71,7 +71,10 @@ class LearnedLexicon:
     def observe(self, question: str, lifted: LiftedSQL) -> bool:
         """Learn from one NL/SQL pair; returns False if the SQL is outside
         the SemQL subset (such pairs still count toward n-gram frequency)."""
-        ngrams = set(content_ngrams(question))
+        # Deduplicated in first-seen order (dicts, not sets): the Counters'
+        # insertion order breaks ``most_common`` ties, so it must not follow
+        # the string-hash seed.
+        ngrams = dict.fromkeys(content_ngrams(question))
         for ngram in ngrams:
             self.ngram_freq[ngram] += 1
         self.n_pairs += 1
@@ -79,15 +82,15 @@ class LearnedLexicon:
         if z is None:
             return False
 
-        columns: set[tuple[str, str]] = set()
-        tables: set[str] = set()
-        values: set[tuple[str, str, str]] = set()
+        columns: dict[tuple[str, str], None] = {}
+        tables: dict[str, None] = {}
+        values: dict[tuple[str, str, str], None] = {}
         for node in z.walk():
             if isinstance(node, sq.ColumnLeaf) and isinstance(node.table, sq.TableLeaf):
-                columns.add((node.table.name.lower(), node.name.lower()))
-                tables.add(node.table.name.lower())
+                columns[(node.table.name.lower(), node.name.lower())] = None
+                tables[node.table.name.lower()] = None
             elif isinstance(node, sq.TableLeaf):
-                tables.add(node.name.lower())
+                tables[node.name.lower()] = None
         for condition in sq.conditions_of(z):
             column = condition.attribute.column
             if not isinstance(column, sq.ColumnLeaf):
@@ -101,7 +104,7 @@ class LearnedLexicon:
                 # them would teach spurious column→number associations.
                 if isinstance(leaf.value, (bool, int, float)):
                     continue
-                values.add((table, column.name.lower(), str(leaf.value).lower()))
+                values[(table, column.name.lower(), str(leaf.value).lower())] = None
 
         for ngram in ngrams:
             if columns:

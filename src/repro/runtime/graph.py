@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 #: 2: trained-system artifacts carry the schema-linking memo (serving).
 #: 3: trained-system artifacts carry copy-on-write lexicon ownership, and
 #:    chained Table-5 regimes fork their base regime's system.
-GRAPH_FORMAT = 3
+#: 4: pickled databases carry schema and rows only (no engine state), and
+#:    learned lexicons are built in first-seen order.
+GRAPH_FORMAT = 4
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:

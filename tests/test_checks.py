@@ -110,6 +110,78 @@ def test_set_iteration_allows_sorted():
     assert not fired(findings, "det.set-iteration")
 
 
+#: The shape ``LearnedLexicon.observe`` had while its Counter order followed
+#: the string-hash seed: sets bound to locals, iterated later.
+OLD_OBSERVE = """
+def observe(self, question, lifted):
+    ngrams = set(content_ngrams(question))
+    for ngram in ngrams:
+        self.ngram_freq[ngram] += 1
+    columns: set[tuple[str, str]] = set()
+    tables: set[str] = set()
+    values = {(t, c, v) for t, c, v in lifted.values}
+    for node in lifted.tree.walk():
+        columns.add((node.table, node.name))
+        tables.add(node.table)
+    for ngram in ngrams:
+        for key in columns:
+            self.column_assoc[ngram][key] += 1
+        for key in tables:
+            self.table_assoc[ngram][key] += 1
+        for key in values:
+            self.value_assoc[ngram][key] += 1
+"""
+
+
+def test_set_iteration_flags_set_valued_locals():
+    findings = fired(check(OLD_OBSERVE), "det.set-iteration")
+    # Both loops over ``ngrams`` plus one each over columns/tables/values.
+    assert sorted(f.line for f in findings) == [4, 12, 13, 15, 17]
+
+
+def test_set_iteration_follows_locals_into_closures_and_sinks():
+    findings = check(
+        """
+        def f(items):
+            seen = {i for i in items}
+            text = ",".join(seen)
+            ordered = list(seen)
+
+            def inner():
+                return [s for s in seen]
+
+            def shadowed(seen):
+                return list(seen)
+
+            return text, ordered, inner, shadowed
+        """
+    )
+    assert sorted(f.line for f in fired(findings, "det.set-iteration")) == [4, 5, 8]
+
+
+def test_set_iteration_allows_locals_rebound_or_ordered():
+    findings = check(
+        """
+        def f(items, other):
+            ngrams = dict.fromkeys(items)
+            for ngram in ngrams:
+                use(ngram)
+            keys = set(items)
+            keys = sorted(keys)
+            for key in keys:
+                use(key)
+            pool = set(items)
+            for value in sorted(pool):
+                use(value)
+            if other in pool:
+                use(other)
+            for param in other:
+                use(param)
+        """
+    )
+    assert not fired(findings, "det.set-iteration")
+
+
 # -- concurrency rules ------------------------------------------------------------
 
 LOCKED_CLASS = """

@@ -60,6 +60,41 @@ def test_native_backend_requires_load():
         backend.execute("SELECT 1")
 
 
+@pytest.mark.parametrize("arm", ["diff-exec", "engine-bench"])
+def test_native_arms_run_the_row_engine(mini_db, monkeypatch, arm):
+    """The native arms of diff-exec and engine-bench must be the row
+    executor, not ``Database.execute`` (the vector engine), or they would
+    compare the vector engine with itself."""
+    from types import SimpleNamespace
+
+    from repro.engine.bench import _make_arm
+    from repro.engine.database import Database
+    from repro.engine.executor import Executor
+    from repro.obs import Tracer, use_tracer
+    from repro.sql import parse
+
+    def refuse(self, sql):
+        raise AssertionError("the native arm went through Database.execute")
+
+    monkeypatch.setattr(Database, "execute", refuse)
+    sql = "SELECT class, COUNT(*) FROM specobj GROUP BY class"
+    if arm == "diff-exec":
+        backend = NativeBackend()
+        backend.load(mini_db)
+        run = backend.execute
+    else:
+        bench_arm = _make_arm("native", SimpleNamespace(database=mini_db))
+
+        def run(text):
+            return bench_arm.execute(text, parse(text))
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = run(sql)
+    assert [span.name for span in tracer.finished()] == ["engine.query"]
+    assert result == Executor(mini_db).execute(parse(sql))
+
+
 def test_sqlite_backend_executes_and_reports_errors(climate_domain):
     with get_backend("sqlite") as backend:
         backend.load(climate_domain.database)

@@ -131,6 +131,42 @@ def test_out_of_grammar_sql_still_counts_frequency(mini_schema):
     assert lexicon.n_pairs == 1
 
 
+#: Trains a lexicon on the cordis seed split and pickles it to ``argv[1]``.
+_TRAIN_LEXICON = """
+import pickle, sys
+from repro import adapters
+from repro.nl2sql.lexicon import LearnedLexicon
+from repro.nl2sql.observation import lift_sql
+
+domain = adapters.get_adapter("cordis").build(scale=0.1)
+lexicon = LearnedLexicon(db_id=domain.name)
+for pair in domain.seed.pairs:
+    lexicon.observe(pair.question, lift_sql(pair.sql, domain.database.schema))
+with open(sys.argv[1], "wb") as out:
+    pickle.dump(lexicon, out)
+"""
+
+
+def test_lexicon_does_not_depend_on_the_string_hash_seed(tmp_path):
+    """Counter insertion order breaks ``most_common`` ties, so the learned
+    state must be identical, byte for byte, under any ``PYTHONHASHSEED``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pickles = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"lexicon-{hash_seed}.pkl"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_LEXICON, str(out)], env=env, check=True
+        )
+        pickles.append(out.read_bytes())
+    assert pickles[0] == pickles[1]
+
+
 # --- schema linking ------------------------------------------------------------------
 
 

@@ -491,12 +491,15 @@ def test_disabled_tracer_overhead_is_negligible():
 
 
 def test_engine_query_spans_carry_row_attrs(mini_db):
+    from repro.engine.executor import Executor
+    from repro.sql import parse
+
     tracer = Tracer()
     with obs.use_tracer(tracer):
-        mini_db.execute(
+        Executor(mini_db).execute(parse(
             "SELECT s.class, count(*) FROM specobj AS s JOIN photoobj AS p "
             "ON s.bestobjid = p.objid GROUP BY s.class"
-        )
+        ))
     queries = _by_name(tracer.finished(), "engine.query")
     assert len(queries) == 1  # recursion does not multiply spans
     attrs = queries[0].attrs
