@@ -15,12 +15,9 @@ Commands
 ``robustness-bench`` run the scenario matrix (system x domain x
                perturbation family x severity) and report the per-axis
                hardness/robustness breakdown with degradation deltas
-``diff-exec``  differentially execute a domain's query sets on the in-repo
-               engine and an alternative backend (sqlite, vector, or the
-               three-way ``all`` gate) and report divergences
-``engine-bench`` time the native/vector/sqlite engines on the gold
-               workloads, check cross-engine agreement and gate the vector
-               speedup
+``diff-exec``  execute a domain's query sets on the row engine, the vector
+               engine and sqlite in one pass; report divergences and each
+               engine's latency, and gate the vector speedup
 ``explain``    print the vector engine's costed plan tree for one query
 ``trace``      run any other command under the tracer and export a Chrome
                trace, a JSONL span log and a terminal flame summary
@@ -31,6 +28,9 @@ output to ``--workers 1``.  Domain selection is uniform: ``--domain NAME``
 (repeatable) restricts any command to a subset of the registered adapters,
 and ``--adapter PATH`` registers an extra single-file domain adapter before
 the command runs — both validated against :func:`repro.adapters.list_adapters`.
+The bench commands (``serve-bench``, ``chaos-bench``, ``robustness-bench``,
+``diff-exec``) share one tail: print the report, write ``--out`` as JSON,
+print one ``FAIL:`` line per violated gate and exit 1 if there is any.
 Artifacts are built through the task-graph runtime — ``--workers`` fans
 independent tasks across processes, ``--cache-dir``/``--no-cache`` control
 the content-addressed artifact cache (default ``.repro-cache/``), and
@@ -352,14 +352,9 @@ def _parser() -> argparse.ArgumentParser:
 
     diff = add_command(
         "diff-exec",
-        help="differentially execute a domain's query sets on the in-repo "
-             "engine and an alternative backend; report divergences",
-    )
-    diff.add_argument(
-        "--backend", choices=("sqlite", "vector", "all"), default="sqlite",
-        help="execution backend to compare against; 'all' runs the "
-             "three-way gate (engine vs vector strict, engine vs sqlite "
-             "tolerant) (default: sqlite)",
+        help="execute a domain's query sets on the row engine, the vector "
+             "engine (strict) and sqlite (tolerant); report divergences and "
+             "per-engine latency",
     )
     diff.add_argument(
         "--splits", choices=("gold", "silver", "all"), default="gold",
@@ -368,39 +363,18 @@ def _parser() -> argparse.ArgumentParser:
              "(default: gold)",
     )
     diff.add_argument(
+        "--repeat", type=int, default=1, metavar="N",
+        help="runs per query on every engine; latency is the per-query "
+             "minimum (default: 1)",
+    )
+    diff.add_argument(
         "--out", default=None, metavar="PATH",
-        help="write the JSON divergence report",
+        help="write the JSON divergence and latency report",
     )
-
-    engine = add_command(
-        "engine-bench",
-        help="benchmark the SQL engines (native vs vector vs sqlite) on "
-             "the gold workloads and gate the vector speedup",
-    )
-    engine.add_argument(
-        "--workload", choices=("table5", "serve"), default="table5",
-        help="query stream: table5 (all gold queries, steady-state per-"
-             "query minimum) or serve (dev split streamed --repeat times) "
-             "(default: table5)",
-    )
-    engine.add_argument(
-        "--repeat", type=int, default=5, metavar="N",
-        help="runs per query (table5) or stream repetitions (serve) "
-             "(default: 5)",
-    )
-    engine.add_argument(
-        "--out", default="benchmarks/BENCH_engine.json", metavar="PATH",
-        help="report destination (default: benchmarks/BENCH_engine.json)",
-    )
-    engine.add_argument(
+    diff.add_argument(
         "--assert-speedup", type=float, default=None, metavar="MIN",
-        help="exit 1 unless the vector engine's overall p50 speedup over "
-             "native >= MIN",
-    )
-    engine.add_argument(
-        "--assert-identical", action="store_true",
-        help="exit 1 unless vector results are byte-identical to native "
-             "and sqlite agrees on every query",
+        help="exit 1 unless the vector engine's p50 speedup over the row "
+             "engine, pooled across domains, >= MIN",
     )
 
     explain = add_command(
@@ -493,9 +467,6 @@ def main(argv: list[str] | None = None) -> int:
             # Gold splits execute on bare domains (no synthesis); the silver
             # split goes through a suite inside the handler.
             return _diff_exec(args)
-        if args.command == "engine-bench":
-            # Gold workloads run on bare domains — never the synthesis suite.
-            return _engine_bench(args)
         if args.command == "explain":
             return _explain(args)
         suite = _build_suite(args)
@@ -655,7 +626,6 @@ def _serve_bench(suite, args) -> int:
         load_backends,
         render_report,
         run_serve_bench,
-        write_report,
     )
 
     # --domain (already validated against the registry) narrows the serve
@@ -698,7 +668,6 @@ def _serve_bench(suite, args) -> int:
     report = run_serve_bench(
         bundle.backends, questions, profile, config, fleet=fleet
     )
-    print(render_report(report))
     # Gates run before the report is written: a downgraded gate (e.g.
     # --assert-fleet-gain on a 1-cpu host) records its warning *in* the
     # report, so the written artifact carries the note.
@@ -711,8 +680,18 @@ def _serve_bench(suite, args) -> int:
         assert_fleet_gain=args.assert_fleet_gain,
         allow_rejections=args.allow_rejections,
     )
-    if args.out:
-        path = write_report(report, args.out)
+    return _finish_bench(render_report(report), report, args.out, failures)
+
+
+def _finish_bench(rendered: str, report: dict, out: str | None, failures) -> int:
+    """The bench commands' shared tail: print the rendered report, write
+    ``--out``, print the report's warnings and one ``FAIL:`` line per
+    gate failure; exit 1 on any failure."""
+    from repro.obs.export import write_json_report
+
+    print(rendered)
+    if out:
+        path = write_json_report(report, out)
         print(f"report written to {path}", file=sys.stderr)
     for warning in report.get("warnings", ()):
         print(f"WARN: {warning}", file=sys.stderr)
@@ -767,9 +746,9 @@ def _trace(args) -> int:
 def _chaos_bench(args) -> int:
     """Run the resilience benchmark and enforce its gates."""
     from repro.resilience.chaosbench import (
+        evaluate_gates,
         render_report,
         run_chaos_bench,
-        write_report,
     )
 
     if args.domain and len(args.domain) > 1:
@@ -782,27 +761,12 @@ def _chaos_bench(args) -> int:
         skip_tables=args.skip_tables,
         workers=max(2, args.workers),
     )
-    print(render_report(report))
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"report written to {path}", file=sys.stderr)
-
-    code = 0
-    if args.assert_identical and not report["identical"]:
-        print("FAIL: chaos output is not byte-identical to the fault-free run",
-              file=sys.stderr)
-        code = 1
-    if (
-        args.max_dead_letter is not None
-        and report["dead_lettered"] > args.max_dead_letter
-    ):
-        print(f"FAIL: {report['dead_lettered']} dead-lettered queries exceed "
-              f"the budget of {args.max_dead_letter}", file=sys.stderr)
-        code = 1
-    if report["breaker_ended_open"]:
-        print("FAIL: a circuit breaker ended the run open", file=sys.stderr)
-        code = 1
-    return code
+    failures = evaluate_gates(
+        report,
+        assert_identical=args.assert_identical,
+        max_dead_letter=args.max_dead_letter,
+    )
+    return _finish_bench(render_report(report), report, args.out, failures)
 
 
 def _robustness_bench(args) -> int:
@@ -813,7 +777,6 @@ def _robustness_bench(args) -> int:
         evaluate_robustness_gates,
         render_report,
         run_robustness_bench,
-        write_report,
     )
 
     domains = tuple(args.domain) if args.domain else adapters.list_adapters()
@@ -834,10 +797,6 @@ def _robustness_bench(args) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         fault_schedule=args.fault_schedule,
     )
-    print(render_report(report))
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"report written to {path}", file=sys.stderr)
     if args.timings:
         print(run_report.render(), file=sys.stderr)
     failures = evaluate_robustness_gates(
@@ -845,26 +804,26 @@ def _robustness_bench(args) -> int:
         max_degradation=args.assert_max_degradation,
         assert_invariant=args.assert_invariant,
     )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_bench(render_report(report), report, args.out, failures)
 
 
 def _diff_exec(args) -> int:
-    """Differentially execute query sets on the engine and a backend.
+    """Execute query sets on the row engine, the vector engine and sqlite.
 
     Gold splits (seed+dev) run against bare adapter-built domains — no
     synthesis.  Asking for the silver split builds the domains through the
     suite so the Synth artifact is materialised (and cached).  Exit 1 when
-    any query diverges, 2 on usage errors, 0 on full agreement.
+    any query diverges or the vector speedup misses ``--assert-speedup``,
+    2 on usage errors, 0 otherwise.
     """
     from repro import adapters
     from repro.engine.diffexec import (
         ALL_SPLITS,
         GOLD_SPLITS,
+        build_report,
+        evaluate_gates,
+        render_report,
         run_diff_exec,
-        run_three_way,
-        write_reports,
     )
 
     splits = {"gold": GOLD_SPLITS, "silver": ("synth",), "all": ALL_SPLITS}[
@@ -880,54 +839,12 @@ def _diff_exec(args) -> int:
             domain = suite.domain(name)
         else:
             domain = adapters.get_adapter(name).build(scale=config.domain_scale)
-        if args.backend == "all":
-            new_reports = run_three_way(domain, splits=splits)
-        else:
-            new_reports = [
-                run_diff_exec(domain, backend=args.backend, splits=splits)
-            ]
-        for report in new_reports:
-            print(report.render())
-        reports.extend(new_reports)
-    if args.out:
-        path = write_reports(reports, args.out)
-        print(f"report written to {path}", file=sys.stderr)
+        reports.extend(run_diff_exec(domain, splits=splits, repeat=args.repeat))
     if suite is not None and args.timings:
         print(suite.runtime.report.render(), file=sys.stderr)
-    return 0 if all(report.agreed for report in reports) else 1
-
-
-def _engine_bench(args) -> int:
-    """Benchmark the execution engines on bare gold domains."""
-    from repro import adapters
-    from repro.engine.bench import (
-        evaluate_engine_gates,
-        render_report,
-        run_engine_bench,
-        write_report,
-    )
-
-    config = _config_for(args)
-    names = list(args.domain or adapters.list_adapters())
-    domains = {
-        name: adapters.get_adapter(name).build(scale=config.domain_scale)
-        for name in names
-    }
-    report = run_engine_bench(
-        domains, workload=args.workload, repeat=args.repeat
-    )
-    print(render_report(report))
-    failures = evaluate_engine_gates(
-        report,
-        assert_speedup=args.assert_speedup,
-        assert_identical=args.assert_identical,
-    )
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"report written to {path}", file=sys.stderr)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    report = build_report(reports, repeat=args.repeat)
+    failures = evaluate_gates(report, assert_speedup=args.assert_speedup)
+    return _finish_bench(render_report(reports), report, args.out, failures)
 
 
 def _explain(args) -> int:

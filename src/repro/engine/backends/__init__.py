@@ -1,11 +1,11 @@
 """Execution backends: one interface, many engines.
 
-The reproduction's own in-memory engine (:mod:`repro.engine`) is one
-implementation of the :class:`ExecutionBackend` interface; ``sqlite``
-(Python's stdlib ``sqlite3``) is a second, independent one.  Differential
-execution (:mod:`repro.engine.diffexec`) runs the same query set through
-both and reports divergences — correctness fuzzing for the engine, and the
-real-database path future domains need.
+An :class:`ExecutionBackend` is an external SQL engine loaded with one
+benchmark database; ``sqlite`` (Python's stdlib ``sqlite3``) is the one
+shipped.  Differential execution (:mod:`repro.engine.diffexec`) runs the
+same query set through the in-repo engines and a backend and reports
+divergences — correctness fuzzing for the engine, and the real-database
+path future domains need.
 
 Backends are resolved by name through :func:`get_backend`; the mapping is
 import-lazy so ``sqlite3`` is only required when actually requested.
@@ -56,9 +56,7 @@ class ExecutionBackend(abc.ABC):
 
 #: name -> (module, class) — imported lazily by :func:`get_backend`.
 _BACKENDS = {
-    "native": ("repro.engine.backends.native", "NativeBackend"),
     "sqlite": ("repro.engine.backends.sqlite", "SqliteBackend"),
-    "vector": ("repro.engine.backends.vector", "VectorBackend"),
 }
 
 

@@ -1,12 +1,15 @@
-"""Differential execution: the in-repo engine vs an independent backend.
+"""Differential execution: the row engine vs the vector engine vs sqlite.
 
 ``sciencebenchmark diff-exec`` runs a domain's query sets (gold Seed/Dev,
-and optionally the pipeline's silver Synth split) through the native engine
-and a second :class:`~repro.engine.backends.ExecutionBackend` (sqlite), and
-reports every disagreement as a structured :class:`Divergence` diagnostic.
-Agreement uses the same comparison as execution accuracy
-(:func:`repro.metrics.execution.results_match`): multiset equality over
-canonicalised rows, order-sensitive only when the query carries an ORDER BY.
+and optionally the pipeline's silver Synth split) through three engines in
+one pass: the row :class:`~repro.engine.executor.Executor` (the baseline),
+the vector engine behind :meth:`Database.execute` (the production path)
+and sqlite (an independent :class:`~repro.engine.backends.ExecutionBackend`).
+Every disagreement with the baseline becomes a structured
+:class:`Divergence` diagnostic.  Agreement with sqlite uses the same
+comparison as execution accuracy (:func:`repro.metrics.execution.results_match`):
+multiset equality over canonicalised rows, order-sensitive only when the
+query carries an ORDER BY.
 
 This is correctness fuzzing for the engine — thousands of generated silver
 queries probing NULL handling, aggregates and set semantics against SQLite,
@@ -25,29 +28,31 @@ necessities (same-engine accuracy scoring never needs them):
   rounding half-boundary.  Near-equal floats (``rel_tol=1e-6``) therefore
   compare equal here.
 
-Neither refinement applies to the in-repo ``vector`` backend: its contract
-is *byte-identity* with the row engine (same columns, same rows, same
-order, same value objects), so ``run_diff_exec`` compares it strictly —
-no tie tolerance, no float slack.  :func:`run_three_way` runs both
-comparisons (engine vs vector strict, engine vs sqlite tolerant) over one
-domain, the full cross-engine correctness gate.
+Neither refinement applies to the vector engine: its contract is
+*byte-identity* with the row engine (same columns, same rows, same order,
+same value objects), so it is compared strictly — no tie tolerance, no
+float slack.
+
+The same pass is the engine benchmark.  Each query is parsed once; the row
+and vector arms are timed on that parsed query, sqlite on the SQL text,
+each as the per-query minimum over ``repeat`` runs.  Every report carries
+per-arm latency summaries, and the vector report the speedup over the row
+engine (``speedup_p50``: the median per-query ratio; ``speedup_total``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from repro.datasets.records import BenchmarkDomain
 from repro.engine.backends import ExecutionBackend, get_backend
-from repro.engine.backends.native import NativeBackend
-from repro.engine.executor import Result, _canonical
-from repro.errors import ExecutionError, ReproError
+from repro.engine.executor import Executor, Result, _canonical
+from repro.errors import ReproError
 from repro.metrics.execution import _is_ordered, results_match
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience.clock import SYSTEM_CLOCK
 from repro.sql import parse
 from repro.sql.printer import to_sql
 
@@ -57,9 +62,6 @@ MAX_SAMPLE_ROWS = 3
 #: Split names accepted by :func:`run_diff_exec`.
 GOLD_SPLITS = ("seed", "dev")
 ALL_SPLITS = ("seed", "dev", "synth")
-
-#: Backends of the three-way run (each compared against the native engine).
-THREE_WAY_BACKENDS = ("vector", "sqlite")
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class Divergence:
 
 @dataclass
 class DiffReport:
-    """Structured outcome of one domain × backend differential run."""
+    """One domain's comparison of the row engine with one other arm."""
 
     domain: str
     backend: str
@@ -95,7 +97,17 @@ class DiffReport:
     n_both_errors: int = 0
     per_split: dict = field(default_factory=dict)
     divergences: list[Divergence] = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
+    #: Latency summary per arm: ``native`` and this report's backend.
+    arms: dict = field(default_factory=dict)
+    #: ``(native_s, vector_s)`` of every query both arms ran (vector only).
+    paired: list = field(default_factory=list, repr=False)
+    _registry: MetricsRegistry = field(
+        default_factory=MetricsRegistry, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        for name in ("queries", "agreements", "divergences"):
+            self._registry.counter(f"diffexec.{name}")
 
     @property
     def n_divergences(self) -> int:
@@ -105,10 +117,30 @@ class DiffReport:
     def agreed(self) -> bool:
         return self.n_divergences == 0
 
+    @property
+    def metrics(self) -> dict:
+        return self._registry.snapshot()
+
+    def record(self, split_name: str, verdict: Divergence | str) -> None:
+        """Count one query's verdict (``"agree"``, ``"both-error"`` or a
+        :class:`Divergence`) under ``split_name``."""
+        counts = self.per_split[split_name]
+        counts["queries"] += 1
+        self.n_queries += 1
+        self._registry.inc("diffexec.queries")
+        if isinstance(verdict, Divergence):
+            counts["divergences"] += 1
+            self._registry.inc("diffexec.divergences")
+            self.divergences.append(verdict)
+            return
+        counts["agreements"] += 1
+        self.n_agreements += 1
+        self._registry.inc("diffexec.agreements")
+        if verdict == "both-error":
+            self.n_both_errors += 1
+
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
-            "benchmark": "diff-exec",
             "domain": self.domain,
             "backend": self.backend,
             "splits": list(self.splits),
@@ -119,6 +151,8 @@ class DiffReport:
             "per_split": self.per_split,
             "divergences": [d.to_dict() for d in self.divergences],
             "metrics": self.metrics,
+            "arms": self.arms,
+            **_speedup(self.paired),
         }
 
     def render(self) -> str:
@@ -131,6 +165,18 @@ class DiffReport:
             lines.append(
                 f"  {split:6s} {counts['agreements']:4d}/{counts['queries']:<4d} agree"
                 + (f", {counts['divergences']} diverge" if counts["divergences"] else "")
+            )
+        for name, arm in self.arms.items():
+            lines.append(
+                f"  {name:7s} p50 {arm['p50_us']:9.1f}us  p95 {arm['p95_us']:9.1f}us  "
+                f"total {arm['total_ms']:8.1f}ms"
+                + (f", {arm['errors']} errors" if arm["errors"] else "")
+            )
+        speedup = _speedup(self.paired)
+        if speedup:
+            lines.append(
+                f"  vector speedup: p50 {speedup['speedup_p50']}x, "
+                f"total {speedup['speedup_total']}x"
             )
         for divergence in self.divergences[:10]:
             lines.append(
@@ -259,36 +305,29 @@ def _row_sample(engine_result: Result, backend_result: Result) -> tuple:
 
 
 def _identical(engine_result: Result, backend_result: Result) -> bool:
-    """Byte-identity: the vector backend's agreement contract."""
+    """Byte-identity: the vector engine's agreement contract."""
     return (
         list(engine_result.columns) == list(backend_result.columns)
         and engine_result.rows == backend_result.rows
     )
 
 
-def _compare_one(
+def _classify(
     domain_name: str,
     split_name: str,
     pair,
-    native: NativeBackend,
-    backend: ExecutionBackend,
-    strict: bool = False,
+    engine: tuple[Result | None, str | None],
+    backend_name: str,
+    other: tuple[Result | None, str | None],
+    strict: bool,
 ) -> Divergence | str:
-    """Run one pair on both backends; a :class:`Divergence` or a verdict
-    string (``"agree"`` / ``"both-error"``).
+    """One pair's verdict from both arms' ``(result, error)`` outcomes: a
+    :class:`Divergence` or ``"agree"`` / ``"both-error"``.
 
     ``strict`` switches agreement from the tolerant cross-engine comparison
-    to byte-identity (columns, rows, order) — used for the vector backend,
+    to byte-identity (columns, rows, order) — used for the vector engine,
     whose contract is exact equality with the row engine."""
-
-    def attempt(executor):
-        try:
-            return executor.execute(pair.sql), None
-        except ExecutionError as exc:
-            return None, str(exc)
-
-    engine_result, engine_error = attempt(native)
-    backend_result, backend_error = attempt(backend)
+    (engine_result, engine_error), (backend_result, backend_error) = engine, other
     if engine_result is None and backend_result is None:
         return "both-error"
     if engine_result is None:
@@ -303,7 +342,7 @@ def _compare_one(
         return Divergence(
             domain=domain_name, split=split_name, question=pair.question,
             sql=pair.sql, kind="backend-error",
-            detail=f"{backend.name} rejected a query the engine accepts: "
+            detail=f"{backend_name} rejected a query the engine accepts: "
             + str(backend_error),
             engine_rows=len(engine_result.rows),
         )
@@ -337,101 +376,175 @@ def _compare_one(
     )
 
 
+def _percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile (deterministic, no interpolation surprises)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[index]
+
+
+def _arm_summary(times: list[float], errors: int) -> dict:
+    return {
+        "p50_us": round(_percentile(times, 0.50) * 1e6, 1),
+        "p95_us": round(_percentile(times, 0.95) * 1e6, 1),
+        "total_ms": round(sum(times) * 1e3, 3),
+        "errors": errors,
+    }
+
+
+def _speedup(paired: list[tuple[float, float]]) -> dict:
+    """Vector-over-row speedup of ``(native_s, vector_s)`` pairs: the median
+    per-query ratio and the ratio of totals (empty without pairs)."""
+    ratios = [native / vector for native, vector in paired if vector > 0]
+    if not ratios:
+        return {}
+    native_total = sum(native for native, _ in paired)
+    vector_total = sum(vector for _, vector in paired)
+    return {
+        "speedup_p50": round(_percentile(ratios, 0.50), 2),
+        "speedup_total": round(native_total / max(vector_total, 1e-12), 2),
+    }
+
+
+def _timed(run, arg, repeat: int) -> tuple[Result | None, str | None, float | None]:
+    """``(result, error, seconds)`` of ``run(arg)``: the per-query minimum
+    over ``repeat`` runs, or the error of the first failing run."""
+    best = math.inf
+    result = None
+    for _ in range(max(1, repeat)):
+        start = SYSTEM_CLOCK.now()
+        try:
+            result = run(arg)
+        except (ReproError, RecursionError) as exc:
+            return None, f"{type(exc).__name__}: {exc}", None
+        best = min(best, SYSTEM_CLOCK.now() - start)
+    return result, None, best
+
+
+def _run_arms(
+    sql: str, native: Executor, database, backend: ExecutionBackend, repeat: int
+) -> dict[str, tuple[Result | None, str | None, float | None]]:
+    """Every arm's :func:`_timed` outcome for one query, parsed once: a
+    query the parser rejects is an error of both in-repo arms."""
+    try:
+        query = parse(sql)
+    except (ReproError, RecursionError) as exc:
+        failed = (None, f"{type(exc).__name__}: {exc}", None)
+        outcomes = {"native": failed, "vector": failed}
+    else:
+        outcomes = {
+            "native": _timed(native.execute, query, repeat),
+            "vector": _timed(database.execute, query, repeat),
+        }
+    outcomes[backend.name] = _timed(backend.execute, sql, repeat)
+    return outcomes
+
+
 def run_diff_exec(
     domain: BenchmarkDomain,
-    backend: ExecutionBackend | str = "sqlite",
     splits: tuple[str, ...] = GOLD_SPLITS,
-    strict: bool | None = None,
-) -> DiffReport:
-    """Differentially execute ``domain``'s query sets on both backends.
+    repeat: int = 1,
+    backend: ExecutionBackend | None = None,
+) -> list[DiffReport]:
+    """Execute ``domain``'s query sets on every arm; one report per
+    compared arm: ``[vector (strict), sqlite (tolerant)]``.
 
     ``splits`` picks the query sets: ``("seed", "dev")`` is the gold
     standard; add ``"synth"`` for the silver split (skipped with a per-split
-    note when the domain has none materialised).  ``strict`` selects
-    byte-identical comparison; the default (None) enables it exactly for
-    the ``vector`` backend, whose contract is exact equality.
+    note when the domain has none materialised).  Each query is parsed
+    once; the row ``Executor`` and :meth:`Database.execute` run the parsed
+    query, ``backend`` (default: sqlite) the SQL text.  Every arm runs
+    ``repeat`` times per query and keeps its fastest time.
     """
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    if strict is None:
-        strict = backend.name == "vector"
-    native = NativeBackend()
-    native.load(domain.database)
-    backend.load(domain.database)
+    database = domain.database
+    native = Executor(database)
+    backend = backend or get_backend("sqlite")
+    backend.load(database)
+    vector_report = DiffReport(domain=domain.name, backend="vector", splits=splits)
+    backend_report = DiffReport(domain=domain.name, backend=backend.name, splits=splits)
+    times: dict[str, list[float]] = {"native": [], "vector": [], backend.name: []}
+    errors = dict.fromkeys(times, 0)
 
-    registry = MetricsRegistry()
-    queries = registry.counter("diffexec.queries")
-    agreements = registry.counter("diffexec.agreements")
-    diverged = registry.counter("diffexec.divergences")
-
-    report = DiffReport(domain=domain.name, backend=backend.name, splits=splits)
     tracer = get_tracer()
-    with tracer.span("diffexec.domain", domain=domain.name, backend=backend.name):
+    with tracer.span("diffexec.domain", domain=domain.name, repeat=repeat):
         for split_name in splits:
             split = getattr(domain, split_name, None)
-            if split is None:
-                report.per_split[split_name] = {
-                    "queries": 0, "agreements": 0, "divergences": 0,
-                    "skipped": "split not materialised",
-                }
-                continue
             counts = {"queries": 0, "agreements": 0, "divergences": 0}
+            if split is None:
+                counts["skipped"] = "split not materialised"
+            for report in (vector_report, backend_report):
+                report.per_split[split_name] = dict(counts)
+            if split is None:
+                continue
             with tracer.span(
                 "diffexec.split", split=split_name, n_queries=len(split.pairs)
             ):
                 for pair in split.pairs:
-                    verdict = _compare_one(
-                        domain.name, split_name, pair, native, backend,
-                        strict=strict,
-                    )
-                    counts["queries"] += 1
-                    queries.inc()
-                    if verdict == "agree":
-                        counts["agreements"] += 1
-                        agreements.inc()
-                        report.n_agreements += 1
-                    elif verdict == "both-error":
-                        counts["agreements"] += 1
-                        agreements.inc()
-                        report.n_agreements += 1
-                        report.n_both_errors += 1
-                    else:
-                        counts["divergences"] += 1
-                        diverged.inc()
-                        report.divergences.append(verdict)
-                    report.n_queries += 1
-            report.per_split[split_name] = counts
+                    outcomes = _run_arms(pair.sql, native, database, backend, repeat)
+                    for name, (_, _, seconds) in outcomes.items():
+                        if seconds is None:
+                            errors[name] += 1
+                        else:
+                            times[name].append(seconds)
+                    native_s, vector_s = outcomes["native"][2], outcomes["vector"][2]
+                    if native_s is not None and vector_s is not None:
+                        vector_report.paired.append((native_s, vector_s))
+                    for report, strict in ((vector_report, True), (backend_report, False)):
+                        verdict = _classify(
+                            domain.name, split_name, pair, outcomes["native"][:2],
+                            report.backend, outcomes[report.backend][:2], strict,
+                        )
+                        report.record(split_name, verdict)
     backend.close()
-    report.metrics = registry.snapshot()
-    return report
+    for report in (vector_report, backend_report):
+        report.arms = {
+            name: _arm_summary(times[name], errors[name])
+            for name in ("native", report.backend)
+        }
+    return [vector_report, backend_report]
 
 
-def run_three_way(
-    domain: BenchmarkDomain,
-    splits: tuple[str, ...] = GOLD_SPLITS,
-) -> list[DiffReport]:
-    """The full cross-engine gate: native vs vector *and* native vs sqlite.
-
-    One :class:`DiffReport` per comparison arm (:data:`THREE_WAY_BACKENDS`
-    order).  The vector arm is strict (byte-identity), the sqlite arm uses
-    the tolerant cross-engine comparison; three engines agreeing on every
-    gold and silver query is the engine-correctness bar of this repo.
-    """
-    return [
-        run_diff_exec(domain, backend=name, splits=splits)
-        for name in THREE_WAY_BACKENDS
-    ]
-
-
-def write_reports(reports: list[DiffReport], path: str | Path) -> Path:
-    """Write the JSON divergence report (one document, one entry per domain)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
+def build_report(reports: list[DiffReport], repeat: int) -> dict:
+    """The JSON document of a run: one entry per domain × compared arm,
+    plus the vector speedup pooled over every domain's queries."""
+    return {
         "schema_version": 1,
         "benchmark": "diff-exec",
+        "repeat": repeat,
         "agreed": all(report.agreed for report in reports),
+        **_speedup([pair for report in reports for pair in report.paired]),
         "reports": [report.to_dict() for report in reports],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+
+
+def evaluate_gates(report: dict, assert_speedup: float | None = None) -> list[str]:
+    """Gate failures of a :func:`build_report` document: any divergence,
+    and (with ``assert_speedup``) a pooled vector p50 speedup below it."""
+    failures = [
+        f"{entry['domain']}: engine vs {entry['backend']}: "
+        f"{entry['n_divergences']} divergences"
+        for entry in report["reports"]
+        if entry["n_divergences"]
+    ]
+    if assert_speedup is not None:
+        speedup = report.get("speedup_p50", 0.0)
+        if speedup < assert_speedup:
+            failures.append(
+                f"vector p50 speedup {speedup:.2f}x is below the required "
+                f"{assert_speedup:.2f}x"
+            )
+    return failures
+
+
+def render_report(reports: list[DiffReport]) -> str:
+    """Every comparison's summary plus the pooled vector speedup."""
+    lines = [report.render() for report in reports]
+    speedup = _speedup([pair for report in reports for pair in report.paired])
+    if speedup:
+        lines.append(
+            f"overall: vector {speedup['speedup_p50']}x p50 / "
+            f"{speedup['speedup_total']}x total vs native"
+        )
+    return "\n".join(lines)

@@ -35,7 +35,6 @@ template store and system statistics are copied.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 
 from repro import adapters
@@ -73,31 +72,6 @@ def active_domains(config: ExperimentConfig) -> tuple[str, ...]:
     """The domain names one config builds (its ``domains`` field)."""
     names = getattr(config, "domains", None)
     return tuple(names) if names else DEFAULT_DOMAINS
-
-
-def __getattr__(name: str):
-    # Deprecation shims for the pre-registry module constants.  They keep
-    # old callers working (with a warning) but are no longer the source of
-    # truth — the adapter registry is.
-    if name == "DOMAINS":
-        warnings.warn(
-            "repro.experiments.tasks.DOMAINS is deprecated; use "
-            "ExperimentConfig.domains / repro.adapters.list_adapters()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_DOMAINS
-    if name == "DOMAIN_BUILDERS":
-        warnings.warn(
-            "repro.experiments.tasks.DOMAIN_BUILDERS is deprecated; use "
-            "repro.adapters.get_adapter(name).build",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            domain: adapters.get_adapter(domain).build for domain in DEFAULT_DOMAINS
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, a JSONL span log, and a
-terminal flame summary.
+"""Exporters: Chrome ``trace_event`` JSON, a JSONL span log, a terminal
+flame summary, and the JSON writer every benchmark report leaves through.
 
 * :func:`write_chrome_trace` emits the classic ``traceEvents`` array of
   complete (``"ph": "X"``) events plus thread/process-name metadata; the
@@ -9,6 +9,8 @@ terminal flame summary.
 * :func:`flame_summary` aggregates the span tree by name-path and renders a
   top-down table of total/self time — the "where did the time go" answer
   without leaving the terminal.
+* :func:`write_json_report` writes one benchmark report (serve-bench,
+  chaos-bench, robustness-bench, diff-exec) as stable, key-sorted JSON.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ SPAN_LOG_REQUIRED_KEYS = (
     "attrs",
     "events",
 )
+
+
+def write_json_report(report: dict, path: str | Path) -> Path:
+    """Write ``report`` as indented, key-sorted JSON (byte-stable for equal
+    reports), creating parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def _finished(spans) -> list[Span]:

@@ -22,9 +22,7 @@ and recovery counts surfaced under ``"faults"``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from pathlib import Path
 
 from repro import adapters, obs
 from repro.errors import PerturbationError
@@ -278,13 +276,6 @@ def evaluate_robustness_gates(
                 "changed results under schema widening"
             )
     return failures
-
-
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_report(report: dict) -> str:

@@ -14,8 +14,8 @@ Two replays run under one named fault schedule (:data:`SCHEDULES`):
 
 The report (``benchmarks/BENCH_resilience.json``) carries per-class
 injection and recovery counts, retry histograms, dead letters and added
-wall-clock, and the gates the CLI asserts (``--assert-identical``,
-``--max-dead-letter``, breaker-ended-open).
+wall-clock; :func:`evaluate_gates` turns it into the CLI's gates
+(``--assert-identical``, ``--max-dead-letter``, breaker-ended-open).
 """
 
 from __future__ import annotations
@@ -285,11 +285,28 @@ def run_chaos_bench(
     return report
 
 
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+def evaluate_gates(
+    report: dict,
+    assert_identical: bool = False,
+    max_dead_letter: int | None = None,
+) -> list[str]:
+    """Every gate violation in a report (empty = the run passes).
+
+    A breaker that ended the run open always gates; byte-identity gates
+    with ``assert_identical``, dead letters above ``max_dead_letter`` when
+    a budget is given.
+    """
+    failures = []
+    if assert_identical and not report["identical"]:
+        failures.append("chaos output is not byte-identical to the fault-free run")
+    if max_dead_letter is not None and report["dead_lettered"] > max_dead_letter:
+        failures.append(
+            f"{report['dead_lettered']} dead-lettered queries exceed the budget "
+            f"of {max_dead_letter}"
+        )
+    if report["breaker_ended_open"]:
+        failures.append("a circuit breaker ended the run open")
+    return failures
 
 
 def render_report(report: dict) -> str:

@@ -25,11 +25,9 @@ batched arm (``fleet_identity``): same stream, same seed, same SQL.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 from repro import obs
 from repro.obs import get_tracer
@@ -532,7 +530,8 @@ def evaluate_gates(
     never gate — a token bucket refusing an over-limit tenant is the quota
     system working, not the serving tier failing.  A fleet arm that
     diverges from the batched arm's answers always gates (the determinism
-    contract is not optional).
+    contract is not optional), and so does a requested fleet or soak arm
+    that is missing from the report.
     """
     failures: list[str] = []
     for name, arm in report["arms"].items():
@@ -576,6 +575,12 @@ def evaluate_gates(
             f"{assert_p99_ms:.2f} ms"
         )
 
+    fleet = report.get("fleet_profile") or {}
+    if fleet.get("replicas", 1) >= 2:
+        if "fleet_identity" not in report:
+            failures.append("a fleet arm was requested but the report has no fleet_identity")
+        if fleet.get("soak_qps") and "soak" not in report["arms"]:
+            failures.append("a soak arm was requested but the report has no soak arm")
     identity = report.get("fleet_identity")
     if identity is not None and not identity["identical"]:
         failures.append(
@@ -612,13 +617,6 @@ def evaluate_gates(
                 f"required {assert_fairness:.2f}x"
             )
     return failures
-
-
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_report(report: dict) -> str:

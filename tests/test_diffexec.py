@@ -12,16 +12,18 @@ from repro.engine.backends import (
     available_backends,
     get_backend,
 )
-from repro.engine.backends.native import NativeBackend
 from repro.engine.backends.sqlite import SqliteBackend
 from repro.engine.diffexec import (
     ALL_SPLITS,
     GOLD_SPLITS,
+    build_report,
+    evaluate_gates,
+    render_report,
     run_diff_exec,
-    write_reports,
 )
 from repro.engine.executor import Result
 from repro.errors import ExecutionError
+from repro.obs.export import write_json_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,52 +49,36 @@ def climate_domain():
 
 
 def test_backend_registry():
-    assert available_backends() == ("native", "sqlite", "vector")
+    assert available_backends() == ("sqlite",)
     assert isinstance(get_backend("sqlite"), SqliteBackend)
-    assert isinstance(get_backend("native"), NativeBackend)
     with pytest.raises(ExecutionError, match="unknown execution backend"):
         get_backend("postgres")
 
 
-def test_native_backend_requires_load():
-    backend = NativeBackend()
-    with pytest.raises(ExecutionError, match="no database loaded"):
-        backend.execute("SELECT 1")
-
-
-@pytest.mark.parametrize("arm", ["diff-exec", "engine-bench"])
-def test_native_arms_run_the_row_engine(mini_db, monkeypatch, arm):
-    """The native arms of diff-exec and engine-bench must be the row
-    executor, not ``Database.execute`` (the vector engine), or they would
-    compare the vector engine with itself."""
-    from types import SimpleNamespace
-
-    from repro.engine.bench import _make_arm
+def test_native_arm_runs_the_row_engine(climate_domain, monkeypatch):
+    """The native arm must be the row executor, not ``Database.execute``
+    (the vector engine), or diff-exec would compare the vector engine with
+    itself: a sabotaged ``Database.execute`` must show up as vector
+    divergences while sqlite still agrees with the native arm."""
     from repro.engine.database import Database
-    from repro.engine.executor import Executor
     from repro.obs import Tracer, use_tracer
-    from repro.sql import parse
 
-    def refuse(self, sql):
-        raise AssertionError("the native arm went through Database.execute")
+    real_execute = Database.execute
 
-    monkeypatch.setattr(Database, "execute", refuse)
-    sql = "SELECT class, COUNT(*) FROM specobj GROUP BY class"
-    if arm == "diff-exec":
-        backend = NativeBackend()
-        backend.load(mini_db)
-        run = backend.execute
-    else:
-        bench_arm = _make_arm("native", SimpleNamespace(database=mini_db))
+    def drop_last_row(self, sql):
+        result = real_execute(self, sql)
+        return Result(columns=result.columns, rows=result.rows[:-1])
 
-        def run(text):
-            return bench_arm.execute(text, parse(text))
-
+    monkeypatch.setattr(Database, "execute", drop_last_row)
     tracer = Tracer()
     with use_tracer(tracer):
-        result = run(sql)
-    assert [span.name for span in tracer.finished()] == ["engine.query"]
-    assert result == Executor(mini_db).execute(parse(sql))
+        vector, sqlite = run_diff_exec(climate_domain)
+    assert sqlite.agreed, sqlite.render()
+    assert vector.n_divergences > 0
+    assert {d.kind for d in vector.divergences} == {"result-mismatch"}
+    assert all(d.engine_rows == d.backend_rows + 1 for d in vector.divergences)
+    row_engine_spans = [s for s in tracer.finished() if s.name == "engine.query"]
+    assert len(row_engine_spans) >= vector.n_queries
 
 
 def test_sqlite_backend_executes_and_reports_errors(climate_domain):
@@ -110,26 +96,76 @@ def test_sqlite_backend_executes_and_reports_errors(climate_domain):
 
 
 def test_gold_queries_agree_on_toy_domain(climate_domain):
-    report = run_diff_exec(climate_domain, backend="sqlite")
-    assert report.agreed
-    assert report.n_queries == len(climate_domain.seed) + len(climate_domain.dev)
-    assert report.n_divergences == 0
-    assert set(report.per_split) == set(GOLD_SPLITS)
-    assert "diffexec.queries" in report.metrics
+    reports = run_diff_exec(climate_domain)
+    assert [report.backend for report in reports] == ["vector", "sqlite"]
+    for report in reports:
+        assert report.agreed
+        assert report.n_queries == len(climate_domain.seed) + len(climate_domain.dev)
+        assert report.n_divergences == 0
+        assert set(report.per_split) == set(GOLD_SPLITS)
+        assert report.metrics["diffexec.queries"]["value"] == report.n_queries
 
 
 def test_gold_queries_agree_on_builtin_domain():
     from repro import adapters
 
     domain = adapters.get_adapter("oncomx").build(scale=0.1)
-    report = run_diff_exec(domain, backend="sqlite")
-    assert report.agreed, report.render()
+    for report in run_diff_exec(domain):
+        assert report.agreed, report.render()
 
 
 def test_missing_synth_split_is_noted_not_fatal(climate_domain):
-    report = run_diff_exec(climate_domain, backend="sqlite", splits=ALL_SPLITS)
-    assert report.agreed
-    assert report.per_split["synth"].get("skipped")
+    for report in run_diff_exec(climate_domain, splits=ALL_SPLITS):
+        assert report.agreed
+        assert report.per_split["synth"].get("skipped")
+
+
+def test_sql_only_the_backend_accepts_is_an_engine_error(sdss_domain):
+    """The in-repo parser rejects GLOB, sqlite runs it: an engine-error
+    divergence for sqlite (the vector arm shares the parse, so both-error),
+    never a crash of the whole run."""
+    import dataclasses
+
+    from repro.datasets.records import NLSQLPair, Split
+
+    sql = "SELECT COUNT(*) FROM photoobj WHERE 1 GLOB '1'"
+    domain = dataclasses.replace(
+        sdss_domain,
+        seed=Split("seed", [NLSQLPair("how many objects?", sql, "sdss")]),
+        dev=Split("dev", []),
+    )
+    vector, sqlite = run_diff_exec(domain)
+    assert vector.agreed and vector.n_both_errors == 1
+    assert [d.kind for d in sqlite.divergences] == ["engine-error"]
+    divergence = sqlite.divergences[0]
+    assert "SqlSyntaxError" in divergence.detail
+    assert divergence.backend_rows == 1
+
+
+def test_every_arm_is_timed_and_the_speedup_gates(climate_domain):
+    reports = run_diff_exec(climate_domain, repeat=2)
+    vector, sqlite = reports
+    n_queries = len(climate_domain.seed) + len(climate_domain.dev)
+    assert set(vector.arms) == {"native", "vector"}
+    assert set(sqlite.arms) == {"native", "sqlite"}
+    for arm in (*vector.arms.values(), *sqlite.arms.values()):
+        assert arm["errors"] == 0
+        assert 0 < arm["p50_us"] <= arm["p95_us"]
+        assert arm["total_ms"] > 0
+    # The native arm ran once per pair, shared by both comparisons.
+    assert vector.arms["native"] == sqlite.arms["native"]
+    assert len(vector.paired) == n_queries
+    entry = vector.to_dict()
+    assert entry["speedup_p50"] > 0 and entry["speedup_total"] > 0
+    assert "speedup_p50" not in sqlite.to_dict()
+
+    report = build_report(reports, repeat=2)
+    assert report["repeat"] == 2 and report["speedup_p50"] == entry["speedup_p50"]
+    assert evaluate_gates(report) == []
+    assert evaluate_gates(report, assert_speedup=0.0) == []
+    failures = evaluate_gates(report, assert_speedup=1e9)
+    assert len(failures) == 1 and "speedup" in failures[0]
+    assert "overall: vector" in render_report(reports)
 
 
 # -- intentional divergence -----------------------------------------------------
@@ -159,7 +195,8 @@ class _RowDroppingBackend(ExecutionBackend):
 
 
 def test_sabotaged_backend_is_caught(climate_domain):
-    report = run_diff_exec(climate_domain, backend=_RowDroppingBackend())
+    vector, report = run_diff_exec(climate_domain, backend=_RowDroppingBackend())
+    assert vector.agreed
     assert not report.agreed
     assert report.n_divergences > 0
     kinds = {d.kind for d in report.divergences}
@@ -185,28 +222,35 @@ class _ErroringBackend(ExecutionBackend):
 
 
 def test_backend_errors_surface_as_divergences(climate_domain):
-    report = run_diff_exec(climate_domain, backend=_ErroringBackend())
+    _, report = run_diff_exec(climate_domain, backend=_ErroringBackend())
     assert not report.agreed
     assert {d.kind for d in report.divergences} == {"backend-error"}
     assert all("synthetic failure" in d.detail for d in report.divergences)
+    assert report.arms["erroring"]["errors"] == report.n_queries
 
 
 # -- report serialization -------------------------------------------------------
 
 
 def test_write_reports_json(climate_domain, tmp_path):
-    good = run_diff_exec(climate_domain, backend="sqlite")
+    good = run_diff_exec(climate_domain)
     bad = run_diff_exec(climate_domain, backend=_RowDroppingBackend())
-    path = write_reports([good, bad], tmp_path / "reports" / "diffexec.json")
+    report = build_report(good + bad, repeat=1)
+    path = write_json_report(report, tmp_path / "reports" / "diffexec.json")
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == 1
     assert payload["agreed"] is False
-    assert len(payload["reports"]) == 2
-    entry = payload["reports"][1]
-    assert entry["backend"] == "dropping-sqlite"
+    assert [entry["backend"] for entry in payload["reports"]] == [
+        "vector", "sqlite", "vector", "dropping-sqlite",
+    ]
+    entry = payload["reports"][3]
     assert entry["n_divergences"] == len(entry["divergences"]) > 0
     sample = entry["divergences"][0]
     assert {"domain", "split", "question", "sql", "kind", "detail"} <= set(sample)
+    failures = evaluate_gates(payload)
+    assert failures == [
+        f"climate: engine vs dropping-sqlite: {entry['n_divergences']} divergences"
+    ]
 
 
 # -- the CLI subcommand ---------------------------------------------------------
@@ -230,9 +274,20 @@ def test_diff_exec_cli_gold(tmp_path, capsys):
     try:
         assert code == 0
         out = capsys.readouterr().out
-        assert "diff-exec[climate]" in out and "0 divergences" in out
+        assert "diff-exec[climate] engine vs vector" in out
+        assert "diff-exec[climate] engine vs sqlite" in out
+        assert out.count(" 0 divergences") == 2
         payload = json.loads(out_file.read_text())
         assert payload["agreed"] is True
+        assert payload["speedup_p50"] > 0
+        code = cli.main(
+            [
+                "diff-exec", "--domain", "climate", "--repeat", "2",
+                "--assert-speedup", "1e9",
+            ]
+        )
+        assert code == 1
+        assert "FAIL: vector p50 speedup" in capsys.readouterr().err
     finally:
         adapters.unregister("climate")
         import sys

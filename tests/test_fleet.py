@@ -534,6 +534,28 @@ def test_gates_always_fail_on_failures_and_timeouts():
     assert any("failed" in f for f in failures)
     assert any("timeout" in f for f in failures)
 
+    # A failed request in the soak arm alone gates too.
+    report = _minimal_report()
+    report["arms"]["soak"] = {"statuses": {"ok": 7, "failed": 1}}
+    assert evaluate_gates(report, allow_rejections=True) == [
+        "arm 'soak': 1 failed request(s)"
+    ]
+
+
+def test_gates_fail_when_a_requested_fleet_or_soak_arm_is_missing():
+    report = _minimal_report()
+    report["fleet_profile"] = {"replicas": 2, "soak_qps": 100.0}
+    failures = evaluate_gates(report)
+    assert len(failures) == 2
+    assert any("fleet_identity" in f for f in failures)
+    assert any("soak" in f for f in failures)
+
+    report["fleet_identity"] = {"identical": True, "divergences": []}
+    report["arms"]["soak"] = {"statuses": {"ok": 4}}
+    assert evaluate_gates(report) == []
+    # Without replicas there is no fleet (and so no soak arm) to require.
+    assert evaluate_gates(_minimal_report() | {"fleet_profile": None}) == []
+
 
 def test_gates_admission_rejections_respect_allow_flag():
     """Satellite: non-zero exit on rejections unless --allow-rejections."""

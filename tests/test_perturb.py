@@ -34,8 +34,8 @@ from repro.perturb.bench import (
     evaluate_robustness_gates,
     render_report,
     run_robustness_bench,
-    write_report,
 )
+from repro.obs.export import write_json_report
 from repro.perturb.synthdomain import generate_domain, manifest_for
 
 
@@ -296,7 +296,7 @@ def test_render_report_mentions_every_family(small_report):
 
 
 def test_write_report_is_stable_json(small_report, tmp_path):
-    path = write_report(small_report, tmp_path / "r.json")
+    path = write_json_report(small_report, tmp_path / "r.json")
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text)["benchmark"] == "robustness"

@@ -31,6 +31,7 @@ from repro.resilience import (
     RetryPolicy,
     call_with_retry,
 )
+from repro.resilience.chaosbench import evaluate_gates as chaos_gates
 from repro.runtime import ArtifactCache, Runtime, Task, TaskGraph, TaskTimeoutError
 from repro.synthesis import (
     AugmentationPipeline,
@@ -512,3 +513,30 @@ def test_cache_records_swallowed_corruption_kinds(tmp_path):
     assert sum(cache.corruption_kinds.values()) == 1
     (kind,) = cache.corruption_kinds
     assert kind  # a concrete exception class name, e.g. UnpicklingError
+
+
+# -- chaos-bench gates --------------------------------------------------------
+
+
+def test_chaos_bench_gates_on_synthetic_reports():
+    def report(**overrides):
+        clean = {"identical": True, "dead_lettered": 0, "breaker_ended_open": False}
+        return {**clean, **overrides}
+
+    assert chaos_gates(report(), assert_identical=True, max_dead_letter=0) == []
+
+    # Non-identical output gates only under --assert-identical.
+    assert chaos_gates(report(identical=False)) == []
+    assert chaos_gates(report(identical=False), assert_identical=True) == [
+        "chaos output is not byte-identical to the fault-free run"
+    ]
+    # Dead letters gate only above a given --max-dead-letter budget.
+    assert chaos_gates(report(dead_lettered=2)) == []
+    assert chaos_gates(report(dead_lettered=2), max_dead_letter=2) == []
+    assert chaos_gates(report(dead_lettered=2), max_dead_letter=1) == [
+        "2 dead-lettered queries exceed the budget of 1"
+    ]
+    # A breaker that ended the run open always gates.
+    assert chaos_gates(report(breaker_ended_open=True)) == [
+        "a circuit breaker ended the run open"
+    ]

@@ -264,16 +264,15 @@ def test_suite_artifacts_are_memoized_per_task(warm_cache_dir):
 
 
 def test_tasks_domains_shim_warns():
-    # get_suite is gone (removed after its deprecation cycle); the module
-    # constants DOMAINS/DOMAIN_BUILDERS are the remaining shims.
+    # get_suite and the DOMAINS/DOMAIN_BUILDERS module constants are gone
+    # (removed after their deprecation cycles); the adapter registry and
+    # ExperimentConfig.domains replace them.
     from repro.experiments import runner, tasks
 
     assert not hasattr(runner, "get_suite")
-    with pytest.warns(DeprecationWarning):
-        assert tasks.DOMAINS == ("cordis", "sdss", "oncomx")
-    with pytest.warns(DeprecationWarning):
-        builders = tasks.DOMAIN_BUILDERS
-    assert set(builders) == {"cordis", "sdss", "oncomx"}
+    for name in ("DOMAINS", "DOMAIN_BUILDERS"):
+        with pytest.raises(AttributeError):
+            getattr(tasks, name)
 
 
 def test_augment_domain_rng_and_executor_injection():

@@ -30,8 +30,8 @@ from repro.serving import (
     build_stream,
     render_report,
     run_serve_bench,
-    write_report,
 )
+from repro.obs.export import write_json_report
 from repro.spider import build_corpus
 
 
@@ -556,7 +556,7 @@ def test_run_serve_bench_report_structure(tmp_path):
     assert report["arms"]["batched"]["counters"]["cache_hits"] > 0
     assert report["speedup"] > 0
 
-    path = write_report(report, tmp_path / "bench" / "report.json")
+    path = write_json_report(report, tmp_path / "bench" / "report.json")
     assert path.exists()
     text = render_report(report)
     assert "speedup" in text and "unbatched" in text

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import create_database
-from repro.engine.diffexec import run_three_way
+from repro.engine.diffexec import run_diff_exec
 from repro.engine.vector import VectorEngine
 from repro.schema.model import Column, ColumnType, Schema, TableDef
 from repro.sql import parse
@@ -144,7 +144,7 @@ def test_aggregate_stage_renders_groups_and_aggs(skew_db):
 
 
 def test_three_way_diffexec_agrees_on_sdss_gold(sdss_domain):
-    reports = run_three_way(sdss_domain, splits=("seed", "dev"))
+    reports = run_diff_exec(sdss_domain, splits=("seed", "dev"))
     assert [r.backend for r in reports] == ["vector", "sqlite"]
     for report in reports:
         assert report.agreed, report.render()
