@@ -20,7 +20,7 @@ from repro.sql import ast
 from repro.sql.printer import to_sql
 from repro.analysis.analyzer import AnalysisContext, SelectContext
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.scope import Scope, walk_local
+from repro.analysis.scope import Scope
 
 
 def check(ctx: AnalysisContext) -> list[Diagnostic]:
@@ -146,7 +146,7 @@ def _all_clauses(select: ast.Select) -> Iterator[tuple[str, ast.Expr]]:
 
 
 def _aggregate_calls(expr: ast.Expr) -> Iterator[ast.FuncCall]:
-    for node in walk_local(expr):
+    for node in ast.walk_local(expr):
         if isinstance(node, ast.FuncCall) and node.name.lower() in ast.AGGREGATE_FUNCTIONS:
             yield node
 

@@ -18,7 +18,7 @@ from repro.schema.enhanced import EnhancedSchema
 from repro.schema.model import Schema
 from repro.sql import ast, parse
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.scope import Scope, TypeEnv, clause_exprs, walk_local
+from repro.analysis.scope import Scope, TypeEnv, clause_exprs
 
 
 @dataclass
@@ -64,7 +64,7 @@ def build_context(
                 # Derived tables cannot see the enclosing FROM clause.
                 visit_query(source.query, f"{path}.from[{i}]", None)
         for clause, expr in clause_exprs(select):
-            for node in walk_local(expr):
+            for node in ast.walk_local(expr):
                 if isinstance(node, (ast.InSubquery, ast.ScalarSubquery, ast.Exists)):
                     # Predicate subqueries may correlate with this scope.
                     visit_query(node.query, f"{path}.{clause}.subquery", scope)

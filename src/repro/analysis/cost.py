@@ -31,7 +31,7 @@ from repro.sql import ast
 from repro.sql.printer import to_sql
 from repro.analysis.analyzer import AnalysisContext
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.scope import Scope, walk_local
+from repro.analysis.scope import Scope
 
 
 def check(ctx: AnalysisContext) -> list[Diagnostic]:
@@ -154,7 +154,7 @@ class _CostAnalyzer:
             isinstance(node, ast.FuncCall)
             and node.name.lower() in ast.AGGREGATE_FUNCTIONS
             for item in select.items
-            for node in walk_local(item.expr)
+            for node in ast.walk_local(item.expr)
         )
 
     # -- predicate emptiness --------------------------------------------------
@@ -277,7 +277,7 @@ class _CostAnalyzer:
         aggregates = [
             node
             for item in select.items
-            for node in walk_local(item.expr)
+            for node in ast.walk_local(item.expr)
             if isinstance(node, ast.FuncCall)
             and node.name.lower() in ast.AGGREGATE_FUNCTIONS
         ]

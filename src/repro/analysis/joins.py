@@ -18,7 +18,7 @@ from repro.sql import ast
 from repro.sql.printer import to_sql
 from repro.analysis.analyzer import AnalysisContext, SelectContext
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.scope import Scope, walk_local
+from repro.analysis.scope import Scope
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _check_core(core: SelectContext, schema: Schema) -> list[Diagnostic]:
         for join in select.joins:
             if join.condition is not None:
                 edges.extend(_binding_equalities(join.condition, scope))
-        for conjunct in _conjuncts(select.where):
+        for conjunct in ast.conjuncts(select.where):
             edges.extend(_binding_equalities(conjunct, scope))
         for edge in edges:
             parent[find(edge.left_binding.lower())] = find(edge.right_binding.lower())
@@ -102,19 +102,11 @@ def _check_core(core: SelectContext, schema: Schema) -> list[Diagnostic]:
     return diagnostics
 
 
-def _conjuncts(where: ast.Expr | None) -> list[ast.Expr]:
-    if where is None:
-        return []
-    if isinstance(where, ast.BoolOp) and where.op == "and":
-        return list(where.operands)
-    return [where]
-
-
 def _binding_equalities(condition: ast.Expr, scope: Scope) -> list[_Equality]:
     """All ``col = col`` equalities between two distinct local bindings."""
     local = {id(b): b for b in scope.bindings.values()}
     equalities = []
-    for node in walk_local(condition):
+    for node in ast.walk_local(condition):
         if not (isinstance(node, ast.Comparison) and node.op == "="):
             continue
         if not (

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.sql import ast
 from repro.analysis.analyzer import AnalysisContext
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.scope import clause_exprs, walk_local
+from repro.analysis.scope import clause_exprs
 
 
 def check(ctx: AnalysisContext) -> list[Diagnostic]:
@@ -42,7 +42,7 @@ def check(ctx: AnalysisContext) -> list[Diagnostic]:
             )
         for clause, expr in clause_exprs(core.select):
             path = f"{core.path}.{clause}"
-            for node in walk_local(expr):
+            for node in ast.walk_local(expr):
                 if isinstance(node, ast.ColumnRef):
                     diagnostics.extend(_check_ref(node, scope, path))
                 elif isinstance(node, ast.Star) and node.table is not None:

@@ -179,20 +179,6 @@ def derived_output(
     return tuple(output), opaque
 
 
-# ---------------------------------------------------------------------------
-# Local traversal (stops at subquery boundaries)
-# ---------------------------------------------------------------------------
-
-
-def walk_local(node: ast.Node) -> Iterator[ast.Node]:
-    """Pre-order walk that does not descend into nested queries."""
-    yield node
-    for child in node.children():
-        if isinstance(child, ast.Query):
-            continue
-        yield from walk_local(child)
-
-
 def clause_exprs(select: ast.Select) -> Iterator[tuple[str, ast.Expr]]:
     """Every top-level expression of a SELECT core, labelled by clause."""
     for i, item in enumerate(select.items):

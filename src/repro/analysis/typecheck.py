@@ -26,7 +26,6 @@ from repro.analysis.scope import (
     infer_type,
     is_textual_type,
     types_comparable,
-    walk_local,
 )
 
 _ORDERED_OPS = {"=", "!=", "<", ">", "<=", ">="}
@@ -37,7 +36,7 @@ def check(ctx: AnalysisContext) -> list[Diagnostic]:
     for core in ctx.cores:
         for clause, expr in clause_exprs(core.select):
             path = f"{core.path}.{clause}"
-            for node in walk_local(expr):
+            for node in ast.walk_local(expr):
                 diagnostics.extend(_check_node(node, core.scope, ctx, path))
     return diagnostics
 

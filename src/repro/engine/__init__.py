@@ -1,7 +1,7 @@
-"""In-memory relational engine: tables, databases and the SQL executor."""
+"""In-memory relational engine: tables, databases and query results."""
 
 from repro.engine.database import Database, create_database
-from repro.engine.executor import Executor, Result
+from repro.engine.result import Result
 from repro.engine.table import Table
 
-__all__ = ["Database", "create_database", "Executor", "Result", "Table"]
+__all__ = ["Database", "create_database", "Result", "Table"]

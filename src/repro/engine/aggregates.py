@@ -5,6 +5,7 @@ rows of one group (``count(*)`` is special-cased by the executor) and returns
 a scalar.  NULLs are skipped; an empty input yields NULL for everything but
 COUNT, which yields 0 — matching SQLite/PostgreSQL behaviour, which matters
 for execution-accuracy comparisons of aggregate queries over empty groups.
+``_has_aggregate``/``_collect_aggregates`` find a SELECT's aggregate calls.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.errors import ExecutionError
+from repro.sql import ast
 
 
 def agg_count(values: Sequence, distinct: bool = False) -> int:
@@ -86,3 +88,24 @@ AGGREGATES: dict[str, Callable] = {
     "min": agg_min,
     "max": agg_max,
 }
+
+
+def _aggregate_calls(select: ast.Select):
+    """Aggregate calls in the select list, HAVING and ORDER BY, in walk order."""
+    roots: list[ast.Node] = [item.expr for item in select.items]
+    if select.having is not None:
+        roots.append(select.having)
+    roots.extend(o.expr for o in select.order_by)
+    for root in roots:
+        for node in root.walk():
+            if isinstance(node, ast.FuncCall) and node.name.lower() in ast.AGGREGATE_FUNCTIONS:
+                yield node
+
+
+def _has_aggregate(select: ast.Select) -> bool:
+    return next(_aggregate_calls(select), None) is not None
+
+
+def _collect_aggregates(select: ast.Select) -> list[ast.FuncCall]:
+    """The distinct aggregate calls of ``select``, first occurrence first."""
+    return list(dict.fromkeys(_aggregate_calls(select)))

@@ -17,7 +17,7 @@ import abc
 from importlib import import_module
 
 from repro.engine.database import Database
-from repro.engine.executor import Result
+from repro.engine.result import Result
 from repro.errors import ExecutionError, ReproError
 
 

@@ -11,7 +11,7 @@ compares like with like:
   behaviour at the operator level.
 * ``BOOLEAN`` maps to ``INTEGER`` (SQLite has no boolean type); Python
   ``bool`` values are stored as 0/1, which is exactly how the result
-  canonicaliser (:func:`repro.engine.executor._canonical`) compares them.
+  canonicaliser (:func:`repro.engine.result._canonical`) compares them.
 * No PRIMARY KEY/NOT NULL/FK constraints are emitted: the rows were already
   validated by the engine's typed tables, and constraint side effects
   (implicit indexes, NULL rejection) must not change query results.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.engine.backends import ExecutionBackend
 from repro.engine.database import Database
-from repro.engine.executor import Result
+from repro.engine.result import Result
 from repro.errors import ExecutionError
 from repro.obs import get_tracer
 from repro.schema.model import ColumnType

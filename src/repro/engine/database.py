@@ -12,7 +12,7 @@ from collections.abc import Iterable
 
 from repro.errors import ExecutionError, SchemaError
 from repro.schema.model import Schema
-from repro.engine.executor import Result
+from repro.engine.result import Result
 from repro.engine.table import Table
 
 
@@ -68,8 +68,8 @@ class Database:
 
     def execute(self, sql) -> Result:
         """Execute a SQL string or a pre-parsed :class:`~repro.sql.ast.Query`
-        on the vector engine (the row executor is its fallback and
-        semantic authority)."""
+        on the vector engine; its result or :class:`ExecutionError` is
+        final."""
         from repro.sql import ast, parse
 
         if isinstance(sql, str):
@@ -90,9 +90,7 @@ class Database:
 
         try:
             return self.execute(sql)
-        except ReproError:
-            return None
-        except RecursionError:
+        except (ReproError, RecursionError):
             return None
 
     # -- statistics (Table 1) ------------------------------------------------------

@@ -47,7 +47,8 @@ from dataclasses import asdict, dataclass, field
 
 from repro.datasets.records import BenchmarkDomain
 from repro.engine.backends import ExecutionBackend, get_backend
-from repro.engine.executor import Executor, Result, _canonical
+from repro.engine.executor import Executor
+from repro.engine.result import Result, _canonical
 from repro.errors import ReproError
 from repro.metrics.execution import _is_ordered, results_match
 from repro.obs import get_tracer

@@ -1,66 +1,34 @@
-"""Query evaluation: SQL ASTs against an in-memory database.
+"""The row engine: SQL ASTs evaluated one flattened row tuple at a time.
 
 The executor implements the subset of SQL that the benchmark's queries use:
 projections with aggregates and arithmetic, inner joins (hash-join for
 equi-conditions), WHERE/GROUP BY/HAVING/ORDER BY/LIMIT, DISTINCT, IN/scalar/
 EXISTS subqueries (uncorrelated), derived tables and single set operations.
 
-Execution accuracy — the paper's headline metric — compares the
-:class:`Result` of a predicted query with the gold query's result, so the
-engine's semantics (NULL handling, aggregate-over-empty-group behaviour, set
-semantics of UNION/INTERSECT/EXCEPT) follow SQLite, the engine Spider uses.
+``Database.execute`` runs the vector engine; this executor is the
+independent reference it is checked against — diff-exec's ``native`` arm and
+the tests' oracle.  Result semantics shared by both engines live in
+:mod:`repro.engine.result`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from repro.errors import ExecutionError
 from repro.obs import get_tracer
 from repro.sql import ast
 from repro.sql.printer import to_sql
-from repro.engine.aggregates import AGGREGATES, _order_key
+from repro.engine.aggregates import AGGREGATES, _collect_aggregates, _has_aggregate
 from repro.engine.expressions import Compiler, Scope
-
-#: Hard ceiling on intermediate join sizes, protecting benchmark runs from
-#: accidental cartesian blow-ups in generated queries.
-MAX_INTERMEDIATE_ROWS = 2_000_000
-
-
-@dataclass
-class Result:
-    """A query result: ordered column labels and row tuples."""
-
-    columns: list[str]
-    rows: list[tuple]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def first_column(self) -> list:
-        return [row[0] for row in self.rows]
-
-    def to_multiset(self) -> dict:
-        """Row multiset (order-insensitive) used for execution accuracy."""
-        counts: dict = {}
-        for row in self.rows:
-            key = tuple(_canonical(v) for v in row)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-
-def _canonical(value):
-    """Normalise a value for result comparison (ints/floats unify, text
-    compares case-insensitively — mirroring the Spider execution matcher)."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        if value.is_integer():
-            return int(value)
-        return round(value, 6)
-    if isinstance(value, str):
-        return value.lower()
-    return value
+from repro.engine.result import (
+    MAX_INTERMEDIATE_ROWS,
+    Result,
+    _apply_set_op,
+    _canonical,
+    _dedupe,
+    _sort_component,
+)
 
 
 class Executor:
@@ -121,36 +89,41 @@ class Executor:
 
     def _evaluate_from(self, select: ast.Select) -> tuple[Scope, list[tuple]]:
         scope = Scope()
-        sources: list[tuple[str, list[str], list[tuple]]] = []
-
         if not select.from_tables:
             # SELECT without FROM: one empty pseudo-row.
             return scope, [()]
 
-        for source in select.from_tables:
+        sources: list[tuple[str, list[tuple]]] = []
+        for source in [*select.from_tables, *(join.table for join in select.joins)]:
             binding, columns, source_rows = self._load_source(source)
             scope.add(binding, columns)
-            sources.append((binding, columns, source_rows))
+            sources.append((binding, source_rows))
+        joined = sources[len(select.from_tables):]
 
-        join_specs = []
-        for join in select.joins:
-            binding, columns, source_rows = self._load_source(join.table)
-            scope.add(binding, columns)
-            join_specs.append((binding, columns, source_rows, join.condition))
+        # Inner joins filter one product, so an ON conjunct that names a
+        # later-joined table is applied at the join of the latest table it
+        # references (sqlite's semantics).
+        offsets = [scope.offset_of(binding) for binding, _ in joined]
+        conditions: list[list[ast.Expr]] = [[] for _ in joined]
+        for i, join in enumerate(select.joins):
+            for conjunct in ast.conjuncts(join.condition):
+                last = max(
+                    (
+                        scope.resolve(ref.table, ref.column)
+                        for ref in ast.local_column_refs(conjunct)
+                    ),
+                    default=-1,
+                )
+                conditions[max(i, bisect_right(offsets, last) - 1)].append(conjunct)
 
         # Base product over comma-separated FROM sources.
         rows: list[tuple] = [()]
-        for _, _, source_rows in sources:
+        for _, source_rows in sources[: len(select.from_tables)]:
             rows = _cross(rows, source_rows)
 
         # JOIN ... ON clauses, hash-joined when the condition allows it.
-        compiler = Compiler(scope, self.execute)
-        width_so_far = sum(len(cols) for _, cols, _ in sources)
-        for binding, columns, source_rows, condition in join_specs:
-            rows = self._join(
-                rows, width_so_far, binding, columns, source_rows, condition, scope
-            )
-            width_so_far += len(columns)
+        for (binding, source_rows), conjuncts in zip(joined, conditions):
+            rows = self._join(rows, binding, source_rows, conjuncts, scope)
         return scope, rows
 
     def _load_source(self, source) -> tuple[str, list[str], list[tuple]]:
@@ -167,14 +140,12 @@ class Executor:
     def _join(
         self,
         rows: list[tuple],
-        width: int,
         binding: str,
-        columns: list[str],
         source_rows: list[tuple],
-        condition: ast.Expr | None,
+        conjuncts: list[ast.Expr],
         scope: Scope,
     ) -> list[tuple]:
-        equalities, residual = _split_join_condition(condition)
+        equalities, residual = _split_join_condition(conjuncts)
         offset = scope.offset_of(binding)
         hash_keys: list[tuple[int, int]] = []  # (left slot, right local slot)
         for left_ref, right_ref in equalities:
@@ -207,8 +178,8 @@ class Executor:
 
         if residual is not None:
             compiler = Compiler(scope, self.execute)
-            # Residual predicates only reference already-joined tables, so the
-            # full-width compilation is safe on the combined rows.
+            # Conjuncts reach this join only once every table they reference
+            # is joined, so the full-width compilation is safe on these rows.
             predicate = compiler.compile_predicate(residual)
             combined = [row for row in combined if predicate(row, None)]
         return combined
@@ -323,15 +294,8 @@ def _cross(rows: list[tuple], source_rows: list[tuple]) -> list[tuple]:
     return [row + srow for row in rows for srow in source_rows]
 
 
-def _split_join_condition(condition: ast.Expr | None):
-    """Split an ON condition into hashable equality pairs and a residual."""
-    if condition is None:
-        return [], None
-    conjuncts: list[ast.Expr]
-    if isinstance(condition, ast.BoolOp) and condition.op == "and":
-        conjuncts = list(condition.operands)
-    else:
-        conjuncts = [condition]
+def _split_join_condition(conjuncts: list[ast.Expr]):
+    """Split ON conjuncts into hashable equality pairs and a residual."""
     equalities = []
     residual: ast.Expr | None = None
     for conjunct in conjuncts:
@@ -353,31 +317,6 @@ def _conjoin(left: ast.Expr | None, right: ast.Expr) -> ast.Expr:
     return ast.BoolOp(op="and", operands=(left, right))
 
 
-def _has_aggregate(select: ast.Select) -> bool:
-    roots: list[ast.Node] = [item.expr for item in select.items]
-    if select.having is not None:
-        roots.append(select.having)
-    roots.extend(o.expr for o in select.order_by)
-    for root in roots:
-        for node in root.walk():
-            if isinstance(node, ast.FuncCall) and node.name.lower() in ast.AGGREGATE_FUNCTIONS:
-                return True
-    return False
-
-
-def _collect_aggregates(select: ast.Select) -> list[ast.FuncCall]:
-    roots: list[ast.Node] = [item.expr for item in select.items]
-    if select.having is not None:
-        roots.append(select.having)
-    roots.extend(o.expr for o in select.order_by)
-    seen: dict[ast.FuncCall, None] = {}
-    for root in roots:
-        for node in root.walk():
-            if isinstance(node, ast.FuncCall) and node.name.lower() in ast.AGGREGATE_FUNCTIONS:
-                seen[node] = None
-    return list(seen)
-
-
 def _sort_pairs(pairs, order_fns):
     def key(pair):
         row, aggs = pair
@@ -388,54 +327,3 @@ def _sort_pairs(pairs, order_fns):
         return tuple(parts)
 
     return sorted(pairs, key=key)
-
-
-class _Reversed:
-    """Wrapper inverting comparison order for DESC sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Reversed) and other.key == self.key
-
-
-def _sort_component(value, desc: bool):
-    # NULLs sort first ascending (SQLite behaviour), last descending.
-    null_rank = 0 if value is None else 1
-    key = (null_rank, _order_key(value) if value is not None else (0, 0))
-    return _Reversed(key) if desc else key
-
-
-def _dedupe(rows: list[tuple]) -> list[tuple]:
-    seen = set()
-    result = []
-    for row in rows:
-        key = tuple(_canonical(v) for v in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append(row)
-    return result
-
-
-def _apply_set_op(op: str, left: Result, right: Result, set_all: bool) -> Result:
-    left_keys = [tuple(_canonical(v) for v in row) for row in left.rows]
-    right_keys = {tuple(_canonical(v) for v in row) for row in right.rows}
-    if op == "union":
-        if set_all:
-            return Result(columns=left.columns, rows=left.rows + right.rows)
-        rows = _dedupe(left.rows + right.rows)
-        return Result(columns=left.columns, rows=rows)
-    if op == "intersect":
-        rows = [row for row, key in zip(left.rows, left_keys) if key in right_keys]
-        return Result(columns=left.columns, rows=_dedupe(rows))
-    if op == "except":
-        rows = [row for row, key in zip(left.rows, left_keys) if key not in right_keys]
-        return Result(columns=left.columns, rows=_dedupe(rows))
-    raise ExecutionError(f"unknown set operation {op!r}")

@@ -1,7 +1,8 @@
 """``repro.engine.vector`` — columnar execution with a cost-based planner.
 
-The row executor (:mod:`repro.engine.executor`) interprets one closure tree
-per row; this subsystem executes the same SQL dialect over *columns*:
+The row ``Executor`` (the reference engine) interprets one closure tree
+per row; this subsystem, the engine behind every ``Database.execute``,
+executes the same SQL dialect over *columns*:
 
 * :mod:`~repro.engine.vector.columns` decomposes each table once into typed
   per-column value lists (invalidated by the table's version counter);
@@ -13,18 +14,17 @@ per row; this subsystem executes the same SQL dialect over *columns*:
   the same :class:`~repro.schema.enhanced.ColumnStats` the static analyzer's
   cost pass consumes, producing an explainable
   :class:`~repro.engine.vector.plan.QueryPlan`;
-* :mod:`~repro.engine.vector.executor` runs plans (cached per SQL text)
-  and, for anything the vector path cannot reproduce bit-for-bit, falls
-  back per-query to the row engine — the semantic authority.
+* :mod:`~repro.engine.vector.executor` runs plans (cached per query);
+  its errors are final.
 
 The contract is byte identity: for every query both engines accept, the
 vector engine returns the same columns, the same rows, in the same order.
+Shared result semantics live in :mod:`repro.engine.result`.
 """
 
 from __future__ import annotations
 
 from repro.engine.vector.executor import VectorEngine
 from repro.engine.vector.plan import QueryPlan
-from repro.engine.vector.planner import VectorUnsupported
 
-__all__ = ["QueryPlan", "VectorEngine", "VectorUnsupported"]
+__all__ = ["QueryPlan", "VectorEngine"]

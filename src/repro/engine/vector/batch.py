@@ -127,14 +127,11 @@ class Batch:
     def from_view(cls, view: SourceView) -> "Batch":
         return cls([view], len(view), True)
 
-    def view_for(self, binding: str) -> SourceView:
+    def column(self, binding: str, position: int) -> list:
         for view in self.views:
             if view.binding == binding:
-                return view
+                return view.column(position)
         raise KeyError(binding)
-
-    def column(self, binding: str, position: int) -> list:
-        return self.view_for(binding).column(position)
 
     def take(self, positions: list[int], monotonic: bool = False) -> "Batch":
         """Select ``positions`` from every view.  ``monotonic`` asserts the

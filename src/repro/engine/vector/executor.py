@@ -1,8 +1,9 @@
 """The vector engine: cached cost-based plans executed over columnar batches.
 
-:class:`VectorEngine` is a drop-in replacement for the row
-:class:`~repro.engine.executor.Executor` (same ``execute(query) -> Result``
-surface, same results byte for byte).  Differences that buy the speed:
+:class:`VectorEngine` is the engine behind every ``Database.execute``.  It
+answers exactly what the row ``Executor`` (its independent reference)
+answers — same ``execute(query) -> Result`` surface, same results byte for
+byte.  Differences that buy the speed:
 
 * **One-time columnar load** — each table is transposed once per version
   into the engine's :class:`~repro.engine.vector.columns.ColumnStore`.
@@ -15,20 +16,18 @@ surface, same results byte for byte).  Differences that buy the speed:
 * **Selection-vector filters and hash joins** — predicates evaluate
   column-at-a-time and only the referenced columns are ever gathered.
 
-Fallback contract: any construct the planner rejects
-(:class:`~repro.engine.vector.planner.VectorUnsupported`) *or any execution
-error* re-runs the whole query on a fresh row executor, making the row
-engine the semantic authority for both results and error messages.  The
-one theoretical divergence this cannot cover — the vector engine
-*succeeding* where the row engine would raise a data-dependent type error
-on a row that pushdown/reordering eliminated earlier — cannot occur on
-well-typed benchmark data (see DESIGN.md).
+Error semantics: an :class:`~repro.errors.ExecutionError` raised here is
+final.  Errors carry the row engine's messages (shared name resolution,
+aggregates and value helpers).  A conjunct that can raise on a row's values
+runs as a late filter after the joins, in the row engine's order, so a
+data-dependent type error can vanish relative to the row engine (pushdown
+removed the offending row first) but never appear (see DESIGN.md, "Error
+semantics").
 
 Observability: ``engine.vector.query`` spans carry ``rows``,
 ``rows_scanned`` (corrected: derived-table result rows are not scan work),
-``rows_joined``, ``batches``, ``plan_hash`` and ``fallback``; plan builds
-get an ``engine.plan`` span; counters land in a
-:class:`~repro.obs.MetricsRegistry`.
+``rows_joined``, ``batches`` and ``plan_hash``; plan builds get an
+``engine.plan`` span; counters land in a :class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ from repro.obs import MetricsRegistry, get_tracer
 from repro.sql import ast
 from repro.checks.lockorder import new_lock
 from repro.engine.aggregates import AGGREGATES
-from repro.engine.executor import (
+from repro.engine.result import (
     MAX_INTERMEDIATE_ROWS,
-    Executor,
     Result,
     _apply_set_op,
     _canonical,
@@ -62,7 +60,7 @@ from repro.engine.vector.plan import (
     SelectPlan,
     SubqueryScanNode,
 )
-from repro.engine.vector.planner import Planner, VectorUnsupported
+from repro.engine.vector.planner import Planner
 from repro.engine.vector.vexpr import EvalContext
 
 #: Compiled plans kept per engine (LRU by query AST).
@@ -115,7 +113,6 @@ class VectorEngine:
         self._local = threading.local()
         self._planner = Planner(self.store, self._nested, database)
         self._queries = self.metrics.counter("engine.vector.queries")
-        self._fallbacks = self.metrics.counter("engine.vector.fallbacks")
         self._plans_built = self.metrics.counter("engine.vector.plans_built")
         self._plan_hits = self.metrics.counter("engine.vector.plan_cache_hits")
 
@@ -130,25 +127,21 @@ class VectorEngine:
             return self._execute(query, span)
 
     def explain(self, query: ast.Query, sql: str | None = None) -> str:
-        """The costed plan tree, or the reason the query falls back."""
-        try:
-            plan = self._plan(query, sql)
-        except VectorUnsupported as exc:
-            return f"fallback to row engine: {exc}"
+        """The costed plan tree the query runs as."""
+        plan, _cached = self._plan_traced(query)
+        if sql is not None and plan.sql is None:
+            plan.sql = sql
         return plan.render()
 
     def _execute(self, query: ast.Query, span) -> Result:
         state = ExecState()
+        plan, cached = self._plan_traced(query)
+        previous = getattr(self._local, "state", None)
+        self._local.state = state
         try:
-            plan, cached = self._plan_traced(query)
-            result = self._with_state(state, plan)
-        except VectorUnsupported as exc:
-            return self._fallback(query, span, str(exc))
-        except ExecutionError as exc:
-            # The row engine is the semantic authority for errors too: it
-            # either raises the identical error or (when pushdown evaluated
-            # an expression on rows it would never have seen) succeeds.
-            return self._fallback(query, span, str(exc))
+            result = self._execute_plan(plan, state)
+        finally:
+            self._local.state = previous
         if span is not None:
             span.set_attr("rows", len(result.rows))
             span.set_attr("rows_scanned", state.rows_scanned)
@@ -156,32 +149,13 @@ class VectorEngine:
             span.set_attr("batches", state.batches)
             span.set_attr("plan_hash", plan.plan_hash)
             span.set_attr("plan_cached", cached)
-            span.set_attr("fallback", False)
         return result
-
-    def _with_state(self, state: ExecState, plan: QueryPlan) -> Result:
-        previous = getattr(self._local, "state", None)
-        self._local.state = state
-        try:
-            return self._execute_plan(plan, state)
-        finally:
-            self._local.state = previous
 
     def _nested(self, query: ast.Query) -> Result:
         """Execute an IN/scalar/EXISTS subquery mid-evaluation (planned and
         cached like any query, counters folded into the active execution)."""
-        state = getattr(self._local, "state", None)
-        if state is None:  # pragma: no cover - defensive
-            state = ExecState()
         plan, _cached = self._plan_traced(query)
-        return self._execute_plan(plan, state)
-
-    def _fallback(self, query: ast.Query, span, reason: str) -> Result:
-        self._fallbacks.inc()
-        if span is not None:
-            span.set_attr("fallback", True)
-            span.set_attr("fallback_reason", reason)
-        return Executor(self.database).execute(query)
+        return self._execute_plan(plan, self._local.state)
 
     # -- planning ----------------------------------------------------------------
 
@@ -236,12 +210,6 @@ class VectorEngine:
         while len(self._plans_by_id) > PLAN_CACHE_SIZE:
             self._plans_by_id.popitem(last=False)
 
-    def _plan(self, query: ast.Query, sql: str | None = None) -> QueryPlan:
-        plan, _cached = self._plan_traced(query)
-        if sql is not None and plan.sql is None:
-            plan.sql = sql
-        return plan
-
     # -- plan execution ----------------------------------------------------------
 
     def _execute_plan(self, plan: QueryPlan, state: ExecState) -> Result:
@@ -256,18 +224,13 @@ class VectorEngine:
     def _execute_select_plan(self, splan: SelectPlan, state: ExecState) -> Result:
         if splan.source is None:
             batch = Batch.unit()
-            where_fn = splan.stages.get("where_fn")
-            if where_fn is not None:
-                ctx = EvalContext(batch, None, state.subqueries)
-                values = where_fn(ctx)
-                positions = [j for j, value in enumerate(values) if value is True]
-                batch = batch.take(positions, monotonic=True)
         else:
             batch = self._execute_source(splan.source, state)
         # The row engine's output order is declaration-order row ids; group
         # first-seen order, DISTINCT first-seen order and sort stability all
         # depend on it, so restore before any stage runs.
         batch = restore_order(batch)
+        batch = self._apply_filters(batch, splan.late_filters, state)
         if splan.aggregate:
             return self._aggregate(splan, batch, state)
         return self._plain(splan, batch, state)
@@ -440,8 +403,7 @@ class VectorEngine:
         ctx = EvalContext(batch, None, state.subqueries)
         order_fns = splan.stages.get("order_fns")
         if order_fns:
-            batch = _sort_batch(batch, ctx, order_fns)
-            ctx = EvalContext(batch, None, state.subqueries)
+            ctx = ctx.take(_sort_positions(ctx, order_fns), monotonic=False)
         projected = _project(splan.stages["projection"], ctx)
         if select.distinct:
             projected = _dedupe(projected)
@@ -504,15 +466,11 @@ class VectorEngine:
         having_fn = stages.get("having_fn")
         if having_fn is not None:
             values = having_fn(ctx)
-            positions = [j for j, value in enumerate(values) if value is True]
-            rep_batch, aggenv = _take_groups(rep_batch, aggenv, positions, True)
-            ctx = EvalContext(rep_batch, aggenv, state.subqueries)
+            ctx = ctx.take([j for j, value in enumerate(values) if value is True])
 
         order_fns = stages.get("order_fns")
         if order_fns:
-            positions = _sort_positions(ctx, order_fns)
-            rep_batch, aggenv = _take_groups(rep_batch, aggenv, positions, False)
-            ctx = EvalContext(rep_batch, aggenv, state.subqueries)
+            ctx = ctx.take(_sort_positions(ctx, order_fns), monotonic=False)
 
         projected = _project(stages["projection"], ctx)
         if select.distinct:
@@ -608,14 +566,3 @@ def _sort_positions(ctx: EvalContext, order_fns) -> list[int]:
         keys = list(zip(*components))
     return sorted(range(ctx.n), key=keys.__getitem__)
 
-
-def _sort_batch(batch: Batch, ctx: EvalContext, order_fns) -> Batch:
-    return batch.take(_sort_positions(ctx, order_fns))
-
-
-def _take_groups(rep_batch: Batch, aggenv: dict, positions: list[int], monotonic: bool):
-    batch = rep_batch.take(positions, monotonic=monotonic)
-    env = {
-        node: [vector[p] for p in positions] for node, vector in aggenv.items()
-    }
-    return batch, env

@@ -194,6 +194,9 @@ class SelectPlan:
     #: Set when the planner reordered joins and the final batch must be
     #: sorted back into declaration-order row ids before projection.
     needs_restore: bool = False
+    #: Conjuncts that can raise on a row's values, applied after the joins
+    #: and the order restore, in the row engine's evaluation order.
+    late_filters: list[PushedFilter] = field(default_factory=list)
     # Compiled stage payloads, attached by the planner (opaque to render).
     stages: dict = field(default_factory=dict)
 
@@ -219,6 +222,9 @@ class SelectPlan:
             lines.append(
                 f"Aggregate groups=[{groups}] aggs=[{aggs}]{having}"
             )
+        if self.late_filters:
+            conjuncts = " AND ".join(f.describe() for f in self.late_filters)
+            lines.append(f"LateFilter ({conjuncts})")
         if self.needs_restore:
             lines.append("RestoreOrder [declaration-order row ids]")
         return lines

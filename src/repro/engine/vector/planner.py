@@ -6,7 +6,13 @@ QueryPlan`:
 1. **Classify** WHERE/ON conjuncts: single-source predicates push down to
    their scan, two-source column equalities become hash-join edges, and
    everything else is a residual filter applied at the earliest join step
-   where all its sources exist (filter placement).
+   where all its sources exist (filter placement).  An ON conjunct that
+   names a later-joined table belongs to the join of the latest-declared
+   table it references (inner joins filter one product, as in sqlite).
+   A conjunct that can raise on a row's values (arithmetic over a text
+   column, an aggregate in WHERE) is never pushed: it becomes a *late
+   filter*, run after the joins in the row engine's evaluation order, so
+   it only sees rows the row engine would evaluate it on.
 2. **Estimate** with the same :class:`~repro.schema.enhanced.ColumnStats`
    the static analyzer's cost pass consumes — including its sound
    :func:`~repro.analysis.cost._comparison_excluded` exclusion check for
@@ -21,10 +27,8 @@ Join-key semantics track the row engine exactly: edges lifted from ON
 clauses key on raw Python equality (how the row engine hash-joins), edges
 lifted from WHERE equalities key on ``_compare`` equality (how the row
 engine filters) — see :data:`~repro.engine.vector.plan.RAW`/``CI``.
-
-Anything the vector engine cannot reproduce bit-for-bit raises
-:class:`VectorUnsupported`, which the executor converts into a per-query
-fallback onto the row engine.
+The planner refuses no construct: its only errors are the query's own
+(unknown tables or columns), and they are final.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.printer import to_sql
 from repro.analysis.cost import _comparison_excluded
-from repro.engine.executor import _collect_aggregates, _has_aggregate
+from repro.engine.aggregates import _collect_aggregates, _has_aggregate
 from repro.engine.expressions import Scope, _compare
 from repro.engine.vector.columns import ColumnStore
 from repro.engine.vector.plan import (
@@ -55,37 +59,6 @@ from repro.engine.vector.vexpr import VectorCompiler
 
 #: Default cardinality guess for derived tables (no statistics available).
 DEFAULT_SUBQUERY_ROWS = 100.0
-
-
-class VectorUnsupported(Exception):
-    """A construct the vector engine cannot reproduce bit-for-bit; the
-    executor falls back to the row engine for the whole query."""
-
-
-def _split_and(expr: ast.Expr | None) -> list[ast.Expr]:
-    """Top-level AND conjuncts (3VL-safe: ``a AND b`` is True iff both are)."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BoolOp) and expr.op == "and":
-        return list(expr.operands)
-    return [expr]
-
-
-def _local_refs(node: ast.Node) -> list[ast.ColumnRef]:
-    """Column references of this expression, *excluding* nested queries
-    (their columns resolve against their own scopes)."""
-    refs: list[ast.ColumnRef] = []
-
-    def visit(current: ast.Node) -> None:
-        if isinstance(current, ast.ColumnRef):
-            refs.append(current)
-        for child in current.children():
-            if isinstance(child, ast.Query):
-                continue
-            visit(child)
-
-    visit(node)
-    return refs
 
 
 def _literal_value(expr: ast.Expr):
@@ -152,35 +125,45 @@ class Planner:
         if not scans:
             plan = self._finish(select, scope, compiler, None, est_rows=1.0)
             if select.where is not None:
-                plan.stages["where_fn"] = compiler.compile(select.where)
+                plan.late_filters = [
+                    PushedFilter(select.where, compiler.compile(select.where), 0.5)
+                ]
             return plan
 
         # -- conjunct classification ---------------------------------------
         pushed: dict[str, list[tuple[ast.Expr, float, int]]] = {b: [] for b in scans}
         edges: dict[frozenset, list[EdgeKey]] = {}
         residuals: list[tuple[frozenset, ast.Expr | None, EdgeKey | None, int]] = []
+        late: list[tuple[tuple[int, int], ast.Expr]] = []
         seq = 0
 
         def classify(conjunct: ast.Expr, on_binding: str | None, on_decl: int) -> None:
             nonlocal seq
             seq += 1
-            refs = _local_refs(conjunct)
-            bindings = []
-            slots = []
-            for ref in refs:
-                index = scope.resolve(ref.table, ref.column)
-                slots.append(index)
-                b, _ = _slot_of(scope, index)
-                if b not in bindings:
-                    bindings.append(b)
+            slots = [
+                scope.resolve(ref.table, ref.column)
+                for ref in ast.local_column_refs(conjunct)
+            ]
+            bindings = list(dict.fromkeys(_slot_of(scope, i)[0] for i in slots))
             if on_binding is not None:
-                for b in bindings:
-                    if decls[b] > on_decl:
-                        raise VectorUnsupported(
-                            "ON condition references a later table"
-                        )
-            if on_binding is not None and self._on_hash_edge(
-                conjunct, scope, on_binding, decls, edges, seq
+                latest = max(bindings, key=decls.__getitem__, default=None)
+                if latest is not None and decls[latest] > on_decl:
+                    on_binding = latest
+            if not bindings or self._can_raise(conjunct, scope, scans):
+                # Row-engine evaluation order: ON conjuncts join by join,
+                # then WHERE, each in text order.  Source-free conjuncts
+                # (an uncorrelated EXISTS) need no join either.
+                step = decls[on_binding] if on_binding is not None else len(decls)
+                late.append(((step, seq), conjunct))
+                return
+            equality = (
+                isinstance(conjunct, ast.Comparison)
+                and conjunct.op == "="
+                and isinstance(conjunct.left, ast.ColumnRef)
+                and isinstance(conjunct.right, ast.ColumnRef)
+            )
+            if equality and on_binding is not None and self._on_hash_edge(
+                conjunct, slots, scope, on_binding, edges
             ):
                 return
             if len(bindings) == 1:
@@ -189,26 +172,17 @@ class Planner:
                     (conjunct, self._selectivity(conjunct, scans[binding]), seq)
                 )
                 return
-            if (
-                len(bindings) == 2
-                and isinstance(conjunct, ast.Comparison)
-                and conjunct.op == "="
-                and isinstance(conjunct.left, ast.ColumnRef)
-                and isinstance(conjunct.right, ast.ColumnRef)
-            ):
-                li = scope.resolve(conjunct.left.table, conjunct.left.column)
-                ri = scope.resolve(conjunct.right.table, conjunct.right.column)
-                lb, lp = _slot_of(scope, li)
-                rb, rp = _slot_of(scope, ri)
+            if equality and len(bindings) == 2:
+                (lb, lp), (rb, rp) = (_slot_of(scope, i) for i in slots)
                 edge = EdgeKey(lb, lp, rb, rp, CI, label=to_sql(conjunct))
                 edges.setdefault(frozenset((lb, rb)), []).append(edge)
                 return
             residuals.append((frozenset(bindings), conjunct, None, seq))
 
-        for conjunct in _split_and(select.where):
+        for conjunct in ast.conjuncts(select.where):
             classify(conjunct, None, -1)
         for on_decl, on_binding, condition in join_conditions:
-            for conjunct in _split_and(condition):
+            for conjunct in ast.conjuncts(condition):
                 classify(conjunct, on_binding, on_decl)
 
         # -- scan estimates + filter compilation ---------------------------
@@ -235,6 +209,10 @@ class Planner:
             select, scope, compiler, root, est_rows=getattr(root, "est_rows", 0.0)
         )
         plan.needs_restore = needs_restore
+        plan.late_filters = [
+            PushedFilter(expr, compiler.compile(expr), 0.5)
+            for _, expr in sorted(late, key=lambda item: item[0])
+        ]
         return plan
 
     # -- sources -------------------------------------------------------------
@@ -260,28 +238,49 @@ class Planner:
         decls[binding] = decl
         return binding
 
-    def _on_hash_edge(
-        self, conjunct, scope, on_binding, decls, edges, seq
-    ) -> bool:
-        """Mirror the row engine's hash-key detection for one ON conjunct:
-        a raw-keyed edge when exactly one side lives in the joined table."""
-        if not (
-            isinstance(conjunct, ast.Comparison)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-        ):
-            return False
-        li = scope.resolve(conjunct.left.table, conjunct.left.column)
-        ri = scope.resolve(conjunct.right.table, conjunct.right.column)
+    def _can_raise(self, conjunct, scope, scans) -> bool:
+        """Whether ``conjunct`` can raise on some row's values: an aggregate
+        outside GROUP BY context, or arithmetic, negation or ABS over an
+        operand that is not provably numeric (typed tables hold only
+        numbers or NULL in a numeric column).  Such a conjunct is never
+        pushed: it runs after the joins, on rows the row engine would
+        evaluate it on as well."""
+        for node in ast.walk_local(conjunct):
+            if isinstance(node, ast.FuncCall) and (
+                node.name.lower() in ast.AGGREGATE_FUNCTIONS
+            ):
+                return True
+            if isinstance(node, (ast.BinaryOp, ast.UnaryMinus, ast.FuncCall)) and not all(
+                self._numeric(operand, scope, scans) for operand in node.children()
+            ):
+                return True
+        return False
+
+    def _numeric(self, expr, scope, scans) -> bool:
+        """Whether every non-NULL value of ``expr`` is a number (nested
+        arithmetic counts: the walk checks its own operands)."""
+        if isinstance(expr, ast.Literal):
+            return not isinstance(expr.value, (str, bool))
+        if isinstance(expr, ast.ColumnRef):
+            index = scope.resolve(expr.table, expr.column)
+            binding, position = _slot_of(scope, index)
+            node = scans[binding]  # derived-table columns carry no type
+            return isinstance(node, ScanNode) and self.database.table(
+                node.table
+            ).definition.columns[position].type.is_numeric
+        return isinstance(expr, (ast.BinaryOp, ast.UnaryMinus, ast.FuncCall))
+
+    def _on_hash_edge(self, conjunct, slots, scope, on_binding, edges) -> bool:
+        """Mirror the row engine's hash-key detection for one ON column
+        equality (``slots``: its two resolved sides): a raw-keyed edge when
+        exactly one side lives in the joined table (the latest-declared
+        table the conjunct references)."""
+        li, ri = slots
         offset = scope.offset_of(on_binding)
-        width = len(scope.columns_of(on_binding))
         if li >= offset and ri < offset:
             li, ri = ri, li
         if not (li < offset <= ri):
             return False
-        if ri >= offset + width:
-            raise VectorUnsupported("ON condition references a later table")
         lb, lp = _slot_of(scope, li)
         edge = EdgeKey(lb, lp, on_binding, ri - offset, RAW, label=to_sql(conjunct))
         edges.setdefault(frozenset((lb, on_binding)), []).append(edge)
@@ -325,10 +324,6 @@ class Planner:
             node, current_est = self._attach_residuals(
                 node, current_est, joined, pending, edges, compiler, scans
             )
-        # Zero-source residuals (e.g. uncorrelated EXISTS) and anything left.
-        leftovers = [item for item in pending if item is not None]
-        if leftovers:
-            node = self._filter_node(node, leftovers, compiler, current_est)
         return node, joined
 
     def _attach_residuals(
@@ -342,7 +337,7 @@ class Planner:
             if item is None:
                 continue
             bindings, _expr, _edge, _seq = item
-            if bindings and bindings <= joined_set:
+            if bindings <= joined_set:
                 ready.append(item)
                 pending[i] = None
         # Edges whose endpoints are both joined but were never used as a
@@ -471,7 +466,7 @@ class Planner:
 
     @staticmethod
     def _single_column(conjunct: ast.Expr, node) -> str | None:
-        refs = _local_refs(conjunct)
+        refs = ast.local_column_refs(conjunct)
         if len(refs) == 1:
             return refs[0].column.lower()
         return None
@@ -516,11 +511,10 @@ class Planner:
             stages["order_fns"] = [
                 (compiler.compile(o.expr), o.desc) for o in select.order_by
             ]
-        plan = SelectPlan(
+        return SelectPlan(
             select=select, source=source, aggregate=aggregate,
             labels=labels, est_rows=est_rows, stages=stages,
         )
-        return plan
 
     def _projection(self, select: ast.Select, scope: Scope, compiler):
         labels: list[str] = []

@@ -8,8 +8,9 @@ in one pass.  Value semantics delegate to the row engine's own helpers
 ``_like_match``) so NULL propagation, case-insensitive text equality,
 mixed-type ranking and error messages are *identical* — byte identity with
 the row engine is the vector engine's contract, and any construct this
-compiler rejects raises the row engine's exact error so the per-query
-fallback reproduces the same behaviour.
+compiler rejects raises the row engine's exact error message.  AND/OR
+operands and IN-list items that can raise on a row's values evaluate
+lazily, each only on the rows the row engine's short-circuit still reaches.
 
 Fast paths (direct list comprehensions for column-vs-literal comparisons)
 are exact specialisations: each is valid only where Python's operators agree
@@ -60,9 +61,18 @@ class EvalContext:
             self._columns[key] = cached
         return cached
 
-    def with_batch(self, batch, aggenv: dict | None = None) -> "EvalContext":
-        """A sibling context over another batch, sharing the subquery cache."""
-        return EvalContext(batch, aggenv, self.subqueries)
+    def take(self, positions: list[int], monotonic: bool = True) -> "EvalContext":
+        """This context over ``positions`` of its batch (aggregate values
+        follow their groups), sharing the subquery cache."""
+        aggenv = None
+        if self.aggenv is not None:
+            aggenv = {
+                node: [vector[j] for j in positions]
+                for node, vector in self.aggenv.items()
+            }
+        return EvalContext(
+            self.batch.take(positions, monotonic), aggenv, self.subqueries
+        )
 
 
 class VectorCompiler:
@@ -92,11 +102,6 @@ class VectorCompiler:
         if method is None:
             raise ExecutionError(f"cannot compile {type(expr).__name__}")
         return method(expr)
-
-    def selection(self, fn: VCompiled, ctx: EvalContext) -> list[int]:
-        """Positions where the predicate is strictly True (3VL: UNKNOWN
-        drops the row, exactly like ``compile_predicate``)."""
-        return [j for j, value in enumerate(fn(ctx)) if value is True]
 
     def _subquery_result(self, query: ast.Query, ctx: EvalContext):
         cached = ctx.subqueries.get(id(query))
@@ -253,17 +258,24 @@ class VectorCompiler:
         if all(isinstance(v, ast.Literal) for v in expr.values):
             members = _MemberSet(v.value for v in expr.values)  # type: ignore[union-attr]
             return lambda ctx: _membership(value(ctx), members, negated)
-        items = [self.compile(v) for v in expr.values]
+        items = [(self.compile(v), _may_raise(v)) for v in expr.values]
 
         def run(ctx: EvalContext) -> list:
-            item_vectors = [item(ctx) for item in items]
-            out = []
-            for j, v in enumerate(value(ctx)):
-                if v is None:
-                    out.append(None)
-                    continue
-                member = any(_eq(v, vec[j]) for vec in item_vectors)
-                out.append((not member) if negated else member)
+            # Like the row engine's any(): each item only on the non-NULL
+            # rows no earlier item matched.
+            values = value(ctx)
+            out: list = [None] * ctx.n
+            pending = [j for j, v in enumerate(values) if v is not None]
+            for item, lazy in items:
+                still = []
+                for j, candidate in zip(pending, _at(item, ctx, pending, lazy)):
+                    if _eq(values[j], candidate):
+                        out[j] = not negated
+                    else:
+                        still.append(j)
+                pending = still
+            for j in pending:
+                out[j] = negated
             return out
 
         return run
@@ -323,28 +335,28 @@ class VectorCompiler:
         return run
 
     def _compile_boolop(self, expr: ast.BoolOp) -> VCompiled:
-        operands = [self.compile(o) for o in expr.operands]
+        operands = [(self.compile(o), _may_raise(o)) for o in expr.operands]
         conjunction = expr.op == "and"
 
         def run(ctx: EvalContext) -> list:
-            vectors = [operand(ctx) for operand in operands]
-            out = []
-            for j in range(ctx.n):
-                unknown = False
-                verdict = None
-                for vector in vectors:
-                    value = vector[j]
+            # Like the row engine's per-row loop: each operand only on the
+            # rows every earlier operand left undecided.
+            out: list = [None] * ctx.n
+            unknown = [False] * ctx.n
+            pending = list(range(ctx.n))
+            for operand, lazy in operands:
+                still = []
+                for j, value in zip(pending, _at(operand, ctx, pending, lazy)):
                     if value is None:
-                        unknown = True
-                    elif conjunction and not value:
-                        verdict = False
-                        break
-                    elif not conjunction and value:
-                        verdict = True
-                        break
-                if verdict is None:
-                    verdict = None if unknown else conjunction
-                out.append(verdict)
+                        unknown[j] = True
+                        still.append(j)
+                    elif bool(value) != conjunction:
+                        out[j] = not conjunction
+                    else:
+                        still.append(j)
+                pending = still
+            for j in pending:
+                out[j] = None if unknown[j] else conjunction
             return out
 
         return run
@@ -360,6 +372,32 @@ class VectorCompiler:
         if not result.rows:
             return None
         return result.rows[0][0]
+
+
+# ---------------------------------------------------------------------------
+# Short-circuit evaluation
+# ---------------------------------------------------------------------------
+
+
+def _may_raise(expr: ast.Expr) -> bool:
+    """Whether evaluating ``expr`` can raise on some row's values
+    (arithmetic, negation, ABS, an aggregate outside GROUP BY context)."""
+    return any(
+        isinstance(node, (ast.BinaryOp, ast.UnaryMinus, ast.FuncCall))
+        for node in ast.walk_local(expr)
+    )
+
+
+def _at(fn: VCompiled, ctx: EvalContext, positions: list[int], lazy: bool) -> list:
+    """``fn``'s values at ``positions`` (strictly increasing): evaluated on
+    just those rows when ``lazy`` (it can raise on rows the row engine
+    never reaches), else picked out of one full-batch evaluation."""
+    if len(positions) == ctx.n:
+        return fn(ctx)
+    if lazy:
+        return fn(ctx.take(positions))
+    values = fn(ctx)
+    return [values[j] for j in positions]
 
 
 # ---------------------------------------------------------------------------

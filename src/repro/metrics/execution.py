@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.database import Database
-from repro.engine.executor import Result, _canonical
+from repro.engine.result import Result, _canonical
 from repro.errors import ReproError
 from repro.sql import ast, parse
 

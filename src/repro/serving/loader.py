@@ -51,7 +51,6 @@ def load_backends(
     domains: tuple[str, ...] | None = None,
     system_name: str = "valuenet",
     regime: str = "both",
-    with_fallback: bool = True,
 ) -> ServingBundle:
     """Load one trained backend per domain out of the suite's runtime.
 
@@ -70,10 +69,8 @@ def load_backends(
     for name in domains:
         domain = suite.artifact(domain_task(name))
         system = suite.artifact(train_task(system_name, name, regime))
-        fallback = None
-        if with_fallback:
-            fallback = TemplateFallback()
-            fallback.register_database(name, domain.database, domain.enhanced)
+        fallback = TemplateFallback()
+        fallback.register_database(name, domain.database, domain.enhanced)
         backends[name] = DomainBackend(
             name=name, system=system, database=domain.database, fallback=fallback
         )

@@ -7,7 +7,7 @@ search both rely on.
 
 The tree is intentionally *syntactic*: column references are unresolved
 ``(table_or_alias, column)`` pairs; resolution against a schema happens in
-``repro.engine.executor`` and ``repro.semql.from_sql``.
+the engines and in ``repro.semql.from_sql``.
 """
 
 from __future__ import annotations
@@ -288,6 +288,31 @@ class Query(Node):
 def column_refs(node: Node) -> list[ColumnRef]:
     """All :class:`ColumnRef` nodes under ``node`` in pre-order."""
     return [n for n in node.walk() if isinstance(n, ColumnRef)]
+
+
+def walk_local(node: Node) -> Iterator[Node]:
+    """Pre-order walk that does not descend into nested queries (their
+    column references resolve against their own scopes)."""
+    yield node
+    for child in node.children():
+        if not isinstance(child, Query):
+            yield from walk_local(child)
+
+
+def local_column_refs(node: Node) -> list[ColumnRef]:
+    """:class:`ColumnRef` nodes under ``node`` in pre-order, *excluding*
+    those inside nested queries."""
+    return [n for n in walk_local(node) if isinstance(n, ColumnRef)]
+
+
+def conjuncts(expr: Expr | None) -> list[Expr]:
+    """Top-level AND operands of ``expr`` (3VL-safe: ``a AND b`` is True iff
+    both are); none for a missing condition."""
+    if expr is None:
+        return []
+    if isinstance(expr, BoolOp) and expr.op == "and":
+        return list(expr.operands)
+    return [expr]
 
 
 def literals(node: Node) -> list[Literal]:

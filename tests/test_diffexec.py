@@ -21,7 +21,7 @@ from repro.engine.diffexec import (
     render_report,
     run_diff_exec,
 )
-from repro.engine.executor import Result
+from repro.engine.result import Result
 from repro.errors import ExecutionError
 from repro.obs.export import write_json_report
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import create_database
-from repro.engine.executor import MAX_INTERMEDIATE_ROWS
+from repro.engine.result import MAX_INTERMEDIATE_ROWS
 from repro.errors import ExecutionError
 from repro.schema.model import Column, ColumnType, Schema, TableDef
 

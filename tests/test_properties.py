@@ -167,7 +167,7 @@ def test_geometric_median_permutation_invariant(sentences, rng):
 @settings(max_examples=40, deadline=None)
 def test_result_multiset_symmetry(letters):
     """to_multiset equality is symmetric and reflexive over row orderings."""
-    from repro.engine.executor import Result
+    from repro.engine.result import Result
 
     rows = [(l,) for l in letters]
     a = Result(columns=["x"], rows=rows)

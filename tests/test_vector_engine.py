@@ -1,11 +1,12 @@
-"""Vector engine: byte-identity with the row engine, caching, fallback.
+"""Vector engine: byte-identity with the row engine, caching, errors.
 
 The vector engine's contract is *exact* equality with the row engine —
-same columns, same rows, same order, same value objects — on every query
-it plans.  These tests check that contract three ways: a hypothesis sweep
-over generated queries (filters, joins, aggregates, set-relevant ORDER BY
-ties), the real SDSS gold split, and targeted cases for the caching and
-fallback machinery.
+same columns, same rows, same order, same value objects — on every query.
+These tests check that contract three ways: a hypothesis sweep over
+generated queries (filters, joins, aggregates, set-relevant ORDER BY ties),
+the real SDSS gold split, and targeted cases for the caching machinery,
+forward ON references and error messages (which the vector engine now
+answers alone).
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.engine import create_database
+from repro.engine import executor as row_executor
+from repro.engine.backends.sqlite import SqliteBackend
 from repro.engine.executor import Executor
 from repro.engine.vector import VectorEngine
-from repro.engine.vector.planner import VectorUnsupported
+from repro.engine.vector import executor as vector_executor
+from repro.errors import ExecutionError
 from repro.obs import Tracer
 from repro.sql import parse
 
@@ -140,7 +144,6 @@ def test_sdss_gold_split_byte_identical(sdss_domain):
     engine = VectorEngine(sdss_domain.database)
     for pair in sdss_domain.seed.pairs:
         _assert_identical(sdss_domain.database, engine, pair.sql)
-    assert _counter(engine, "fallbacks") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -225,25 +228,42 @@ def test_engine_swap_on_database(mini_schema):
 
 
 # ---------------------------------------------------------------------------
-# Fallback contract
+# Forward ON references: sqlite's inner-join semantics
 # ---------------------------------------------------------------------------
 
+#: ON clauses that name a table joined later.  Inner joins filter one
+#: product, so each conjunct applies at the join of the latest table it
+#: references.
+_FORWARD_ON = [
+    # An equality to a later table.
+    "SELECT s.specobjid, p.objid, n.neighborobjid FROM specobj AS s "
+    "JOIN photoobj AS p ON p.objid = n.objid "
+    "JOIN neighbors AS n ON n.neighborobjid = s.bestobjid",
+    # A mixed conjunct list: one forward equality, one to an earlier table.
+    "SELECT s.specobjid, n.neighborobjid FROM specobj AS s "
+    "JOIN photoobj AS p ON p.objid = n.objid AND s.bestobjid = p.objid "
+    "JOIN neighbors AS n ON n.neighbormode >= 2",
+    # A non-equality residual.
+    "SELECT s.specobjid, p.objid, n.objid FROM specobj AS s "
+    "JOIN photoobj AS p ON p.r > n.distance * 60 "
+    "JOIN neighbors AS n ON n.objid = s.bestobjid",
+]
 
-def test_unsupported_plan_falls_back_to_row_engine(mini_db, monkeypatch):
-    engine = VectorEngine(mini_db)
-    sql = "SELECT class FROM specobj ORDER BY class"
-    expected = Executor(mini_db).execute(parse(sql))
 
-    def refuse(query, sql=None):
-        raise VectorUnsupported("injected for the fallback test")
+@pytest.mark.parametrize("sql", _FORWARD_ON)
+def test_forward_on_reference_joins_at_the_later_table(mini_db, sql):
+    row = Executor(mini_db).execute(parse(sql))
+    assert row.rows, "shape must select rows to compare"
+    vec = mini_db.execute(sql)
+    assert list(vec.columns) == list(row.columns)
+    assert vec.rows == row.rows
+    with SqliteBackend() as backend:
+        backend.load(mini_db)
+        assert sorted(backend.execute(sql).rows) == sorted(row.rows)
+    assert mini_db.try_execute(sql) == vec
 
-    monkeypatch.setattr(engine._planner, "plan_query", refuse)
-    result = engine.execute(parse(sql))
-    assert result.rows == expected.rows
-    assert _counter(engine, "fallbacks") == 1
 
-
-def test_forward_on_reference_reports_fallback(mini_db):
+def test_forward_on_reference_explains_as_a_plan(mini_db):
     engine = VectorEngine(mini_db)
     sql = (
         "SELECT COUNT(*) FROM specobj AS s "
@@ -251,8 +271,101 @@ def test_forward_on_reference_reports_fallback(mini_db):
         "JOIN neighbors AS n ON n.neighborobjid = p.objid"
     )
     rendered = engine.explain(parse(sql), sql)
-    assert rendered.startswith("fallback to row engine:")
-    assert "later table" in rendered
+    assert rendered.startswith("plan ")
+    assert "HashJoin keys=[p.objid = n.objid, n.neighborobjid = p.objid]" in rendered
+
+
+# ---------------------------------------------------------------------------
+# Error semantics: the vector engine's errors are final
+# ---------------------------------------------------------------------------
+
+#: Queries whose text-typed arithmetic, negation or ABS would raise on some
+#: row, but the row engine (and sqlite) never evaluate it there: a join or
+#: an earlier conjunct eliminates the row first, or an earlier AND/OR
+#: operand or IN item decides it.
+_GUARDED = [
+    # A pushed-down copy would see every specobj row before the join.
+    "SELECT s.specobjid FROM specobj AS s JOIN photoobj AS p "
+    "ON s.bestobjid = p.objid WHERE p.objid = 999 AND s.class + 1 > 0",
+    # An ON conjunct, short-circuited by the one before it.
+    "SELECT s.specobjid FROM specobj AS s JOIN photoobj AS p "
+    "ON s.bestobjid = p.objid AND p.type = 99 AND ABS(s.class) > 0",
+    "SELECT s.specobjid FROM specobj AS s JOIN photoobj AS p "
+    "ON s.bestobjid = p.objid AND p.type = 99 AND -s.class < 0",
+    "SELECT specobjid FROM specobj WHERE class IS NOT NULL OR class + 1 > 0",
+    "SELECT specobjid FROM specobj WHERE specobjid IN (specobjid, class + 1)",
+    "SELECT class, COUNT(*) FROM specobj GROUP BY class "
+    "HAVING COUNT(*) > 1 OR MIN(z) + 1 > 0",
+]
+
+
+@pytest.mark.parametrize("sql", _GUARDED)
+def test_raising_conjuncts_see_only_the_row_engines_rows(mini_db, sql, monkeypatch):
+    row = Executor(mini_db).execute(parse(sql))
+    with SqliteBackend() as backend:
+        backend.load(mini_db)
+        assert sorted(backend.execute(sql).rows) == sorted(row.rows)
+
+    def unreachable(self, database):
+        raise AssertionError("the row engine was constructed")
+
+    monkeypatch.setattr(Executor, "__init__", unreachable)
+    vec = mini_db.execute(sql)
+    assert list(vec.columns) == list(row.columns)
+    assert vec.rows == row.rows
+
+
+def test_only_conjuncts_that_can_raise_run_after_the_joins(mini_db):
+    engine = VectorEngine(mini_db)
+    late = engine.explain(parse(_GUARDED[0]))
+    assert "LateFilter (s.class + 1 > 0)" in late
+    # Arithmetic over numeric columns cannot raise and stays in the scan.
+    sql = (
+        "SELECT s.specobjid FROM specobj AS s JOIN photoobj AS p "
+        "ON s.bestobjid = p.objid WHERE p.u - p.r < 2.22"
+    )
+    pushed = engine.explain(parse(sql))
+    assert "LateFilter" not in pushed
+    assert "Scan photoobj AS p filters=[p.u - p.r < 2.22]" in pushed
+
+
+_ERRORS = [
+    "SELECT objid FROM nosuchtable",
+    "SELECT nosuchcolumn FROM specobj",
+    "SELECT AVG(class) FROM specobj",
+    "SELECT SUM(*) FROM specobj",
+    "SELECT class FROM specobj UNION SELECT class, z FROM specobj",
+    "SELECT COUNT(*) FROM specobj AS s, photoobj AS p",
+    # 3 x 3 GALAXY pairs + 1 + 1 = 11 joined rows.
+    "SELECT COUNT(*) FROM specobj AS s JOIN specobj AS t ON s.class = t.class",
+    # The first offending row in the row engine's order names the value.
+    "SELECT s.specobjid FROM specobj AS s JOIN photoobj AS p "
+    "ON s.bestobjid = p.objid WHERE p.type = 6 AND s.class + 1 > 0",
+]
+
+
+def test_errors_match_the_row_engine_without_it(mini_db, monkeypatch):
+    # A size guard of 10 rows makes the cartesian (5 x 5) and join (11
+    # rows) guards cheap to reach while single 5-row scans stay under it.
+    for module in (row_executor, vector_executor):
+        monkeypatch.setattr(module, "MAX_INTERMEDIATE_ROWS", 10)
+    expected = {}
+    for sql in _ERRORS:
+        with pytest.raises(ExecutionError) as info:
+            Executor(mini_db).execute(parse(sql))
+        expected[sql] = str(info.value)
+
+    def unreachable(self, database):
+        raise AssertionError("the row engine was constructed")
+
+    monkeypatch.setattr(Executor, "__init__", unreachable)
+    for sql in _ERRORS:
+        with pytest.raises(ExecutionError) as info:
+            mini_db.execute(sql)
+        assert str(info.value) == expected[sql], sql
+        assert mini_db.try_execute(sql) is None, sql
+    assert "cartesian product too large" in expected.values()
+    assert "join result too large" in expected.values()
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +412,5 @@ def test_vector_span_carries_plan_hash(mini_schema):
     attrs = _query_span_attrs(
         database, "vector", "SELECT objid FROM photoobj WHERE type = 3"
     )
-    assert attrs["fallback"] is False
     assert len(attrs["plan_hash"]) == 12
     assert attrs["batches"] >= 1
